@@ -19,6 +19,7 @@ from .numerics import (
     MacCounter,
     ParameterError,
     ShapeError,
+    check_shapes,
     gelu_cached,
     gelu_grad_cached,
     layer_norm,
@@ -47,15 +48,25 @@ class AdapterParams:
     norm_gain: np.ndarray  # (d,)
     norm_bias: np.ndarray  # (d,)
 
+    @staticmethod
+    def shapes(cfg: AdapterConfig) -> tuple:
+        """The tensor schema: (field, shape) in checkpoint order."""
+        b, d = cfg.bottleneck, cfg.d
+        return (("down", (b, d)), ("down_bias", (b,)), ("up", (d, b)),
+                ("up_bias", (d,)), ("norm_gain", (d,)), ("norm_bias", (d,)))
+
     def __post_init__(self):
-        b, d = self.cfg.bottleneck, self.cfg.d
-        expect = {
-            "down": (b, d), "down_bias": (b,), "up": (d, b),
-            "up_bias": (d,), "norm_gain": (d,), "norm_bias": (d,),
-        }
-        for name, shape in expect.items():
-            if getattr(self, name).shape != shape:
-                raise ShapeError(f"{name} shape {getattr(self, name).shape} != {shape}")
+        check_shapes(self, self.shapes(self.cfg))
+
+    # The plugin interface. Both look adapter_forward/adapter_backward up in
+    # this module's globals on every call, so wrappers installed there see them.
+    def forward(self, x: np.ndarray, counter: MacCounter | None, collect: bool):
+        return adapter_forward(self, x, counter, collect)
+
+    def backward(self, trace: AdapterTrace, d_out: np.ndarray):
+        """(d_input, {field: gradient}) for the schema's tensors."""
+        g = adapter_backward(self, trace, d_out)
+        return g.d_input, {name: getattr(g, name) for name, _ in self.shapes(self.cfg)}
 
 
 @dataclass

@@ -1,11 +1,18 @@
 """Small frozen Transformer encoder with per-layer plugin insertion.
 
 The encoder is a standard post-norm stack (attention, residual, norm, feed
-forward, residual, norm); a plugin instance, when configured, transforms every
-position's vector after each layer's final norm. Backbone weights are randomly
+forward, residual, norm); after each layer's final norm, that layer's plugin
+stack transforms every position's vector. Backbone weights are randomly
 initialized and frozen; only plugin parameters and the classification head
 train. The rest of this module is a manual reverse-mode pass through the stack
 that produces gradients for exactly those trainable tensors.
+
+`PLUGINS` gives each plugin kind its config and params types, its init
+function and its stack depth; a layer's plugin entry is a tuple of that many
+instances, each with `forward(x, counter, collect)`, `backward(trace, d_out)`
+and a `shapes(cfg)` schema. Every tensor group declares its (field, shape)
+pairs once; `tensor_slots` walks a model through those declarations, and
+checkpoint names, blank models, parameter counts and dtype casts follow it.
 
 Tokenization is hash-bucketed: lowercased word tokens map to ids via FNV-1a,
 so identical text always yields identical ids with no vocabulary files.
@@ -14,6 +21,7 @@ so identical text always yields identical ids with no vocabulary files.
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +40,6 @@ from .numerics import (
 )
 
 BOS_ID = 0
-PLUGIN_KINDS = ("none", "spartan", "adapter", "adapterx2")
 
 _TOKEN_RE = re.compile(r"[a-z0-9']+")
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -83,30 +90,86 @@ class LayerWeights:
     ln2_gain: np.ndarray
     ln2_bias: np.ndarray
 
+    @staticmethod
+    def shapes(cfg: BackboneConfig) -> tuple:
+        """The tensor schema: (field, shape) in checkpoint order."""
+        d, f = cfg.d, cfg.ffn_dim
+        return (("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
+                ("bq", (d,)), ("bk", (d,)), ("bv", (d,)), ("bo", (d,)),
+                ("ln1_gain", (d,)), ("ln1_bias", (d,)),
+                ("w1", (f, d)), ("b1", (f,)), ("w2", (d, f)), ("b2", (d,)),
+                ("ln2_gain", (d,)), ("ln2_bias", (d,)))
+
 
 @dataclass
 class BackboneParams:
-    token_emb: np.ndarray       # (buckets, d)
-    pos_emb: np.ndarray         # (max_seq_len, d)
+    token_emb: np.ndarray
+    pos_emb: np.ndarray
     layers: list[LayerWeights]
-    head_weight: np.ndarray     # (num_labels, d)
-    head_bias: np.ndarray       # (num_labels,)
+    head_weight: np.ndarray
+    head_bias: np.ndarray
+
+    @staticmethod
+    def embedding_shapes(cfg: BackboneConfig) -> tuple:
+        return (("token_emb", (cfg.vocab_hash_buckets, cfg.d)), ("pos_emb", (cfg.max_seq_len, cfg.d)))
+
+    @staticmethod
+    def head_shapes(cfg: BackboneConfig, num_labels: int) -> tuple:
+        return (("head_weight", (num_labels, cfg.d)), ("head_bias", (num_labels,)))
 
     @property
     def num_labels(self) -> int:
         return self.head_weight.shape[0]
 
 
+@dataclass(frozen=True)
+class PluginKind:
+    config: type | None         # config dataclass, built with d= at least
+    params: type | None         # params dataclass: shapes(cfg), forward, backward
+    init: Callable | None       # (config, rng) -> one fresh params instance
+    depth: int                  # instances stacked per layer
+
+
+PLUGINS = {
+    "none": PluginKind(None, None, None, 0),
+    "spartan": PluginKind(memory_mod.SpartanConfig, memory_mod.SpartanLayerParams,
+                          memory_mod.init_params, 1),
+    "adapter": PluginKind(adapter_mod.AdapterConfig, adapter_mod.AdapterParams,
+                          adapter_mod.init_adapter, 1),
+    "adapterx2": PluginKind(adapter_mod.AdapterConfig, adapter_mod.AdapterParams,
+                            adapter_mod.init_adapter, 2),
+}
+
+
+def plugin_kind(kind: str) -> PluginKind:
+    if kind not in PLUGINS:
+        raise ParameterError(f"plugin kind {kind!r} not one of {tuple(PLUGINS)}")
+    return PLUGINS[kind]
+
+
+def plugin_config(kind: str, d: int, *given):
+    """The config a `kind` plugin runs with at width d: the first of `given`
+    that has the kind's config type, else that type's defaults; None for a
+    kind without parameters."""
+    config = plugin_kind(kind).config
+    if config is None:
+        return None
+    pcfg = next((c for c in given if isinstance(c, config)), None) or config(d=d)
+    if pcfg.d != d:
+        raise ParameterError(f"plugin d={pcfg.d} does not match backbone d={d}")
+    return pcfg
+
+
 @dataclass
 class PluginSpec:
-    """One plugin instance per encoder layer, inserted after the layer's final norm."""
+    """Per encoder layer, the tuple of plugin instances applied after the
+    layer's final norm: () for `none`, two for `adapterx2`."""
 
     kind: str = "none"
     layers: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.kind not in PLUGIN_KINDS:
-            raise ParameterError(f"plugin kind {self.kind!r} not one of {PLUGIN_KINDS}")
+        plugin_kind(self.kind)
 
 
 @dataclass
@@ -167,25 +230,34 @@ def init_backbone(cfg: BackboneConfig, num_labels: int, rng: np.random.Generator
 def make_plugin(kind: str, cfg: BackboneConfig, rng: np.random.Generator,
                 spartan_cfg: memory_mod.SpartanConfig | None = None,
                 adapter_cfg: adapter_mod.AdapterConfig | None = None) -> PluginSpec:
-    """Fresh per-layer plugin parameters for the given kind."""
-    if kind == "none":
-        return PluginSpec("none", [None] * cfg.layers)
-    if kind == "spartan":
-        scfg = spartan_cfg or memory_mod.SpartanConfig(d=cfg.d)
-        if scfg.d != cfg.d:
-            raise ParameterError(f"plugin d={scfg.d} does not match backbone d={cfg.d}")
-        return PluginSpec("spartan", [memory_mod.init_params(scfg, rng) for _ in range(cfg.layers)])
-    acfg = adapter_cfg or adapter_mod.AdapterConfig(d=cfg.d)
-    if acfg.d != cfg.d:
-        raise ParameterError(f"plugin d={acfg.d} does not match backbone d={cfg.d}")
-    if kind == "adapter":
-        return PluginSpec("adapter", [adapter_mod.init_adapter(acfg, rng) for _ in range(cfg.layers)])
-    if kind == "adapterx2":
-        return PluginSpec("adapterx2", [
-            (adapter_mod.init_adapter(acfg, rng), adapter_mod.init_adapter(acfg, rng))
-            for _ in range(cfg.layers)
-        ])
-    raise ParameterError(f"unknown plugin kind {kind!r}")
+    """Fresh per-layer plugin parameters for the given kind.
+
+    The kind takes whichever of spartan_cfg/adapter_cfg has its config type,
+    so a caller holding one config of either type may pass it first; with
+    neither, the type's defaults at width cfg.d.
+    """
+    pk = plugin_kind(kind)
+    pcfg = plugin_config(kind, cfg.d, spartan_cfg, adapter_cfg)
+    return PluginSpec(kind, [tuple(pk.init(pcfg, rng) for _ in range(pk.depth))
+                             for _ in range(cfg.layers)])
+
+
+def empty_model(cfg: BackboneConfig, num_labels: int, kind: str, plugin_cfg,
+                alloc=np.zeros) -> Model:
+    """A model whose every tensor is alloc(shape) from the schema: zeros to
+    load a checkpoint into, or zero-stride views that only carry shapes."""
+    def fill(schema):
+        return {name: alloc(shape) for name, shape in schema}
+
+    params = BackboneParams(layers=[LayerWeights(**fill(LayerWeights.shapes(cfg)))
+                                    for _ in range(cfg.layers)],
+                            **fill(BackboneParams.embedding_shapes(cfg)),
+                            **fill(BackboneParams.head_shapes(cfg, num_labels)))
+    pk = plugin_kind(kind)
+    stacks = [tuple(pk.params(plugin_cfg, **fill(pk.params.shapes(plugin_cfg)))
+                    for _ in range(pk.depth))
+              for _ in range(cfg.layers)]
+    return Model(cfg, params, PluginSpec(kind, stacks))
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -236,41 +308,29 @@ def _ffn_backward(lw: LayerWeights, cache, d_out: np.ndarray) -> np.ndarray:
     return (d_out @ lw.w2 * gelu_grad_cached(u, cdf)) @ lw.w1
 
 
+def _stack_tag(i: int, depth: int) -> str:
+    """Name prefix of instance i in a layer's stack; only deeper stacks need one."""
+    return f"a{i}." if depth > 1 else ""
+
+
 def _plugin_forward(plugin: PluginSpec, layer: int, x_flat: np.ndarray,
                     counter: MacCounter | None, collect: bool):
-    if plugin.kind == "none":
-        return x_flat, None
-    if plugin.kind == "spartan":
-        return memory_mod.forward_batch(plugin.layers[layer], x_flat, counter, collect)
-    if plugin.kind == "adapter":
-        return adapter_mod.adapter_forward(plugin.layers[layer], x_flat, counter, collect)
-    a0, a1 = plugin.layers[layer]
-    mid, t0 = adapter_mod.adapter_forward(a0, x_flat, counter, collect)
-    out, t1 = adapter_mod.adapter_forward(a1, mid, counter, collect)
-    return out, (t0, t1)
+    """Runs the layer's stack in order; returns (output, per-instance traces)."""
+    traces = []
+    for inst in plugin.layers[layer]:
+        x_flat, trace = inst.forward(x_flat, counter, collect)
+        traces.append(trace)
+    return x_flat, traces
 
 
-def _plugin_backward(plugin: PluginSpec, layer: int, trace, d_out: np.ndarray):
+def _plugin_backward(plugin: PluginSpec, layer: int, traces, d_out: np.ndarray):
     """Returns (d_input, {local tensor name: gradient})."""
-    if plugin.kind == "spartan":
-        g = memory_mod.backward_batch(plugin.layers[layer], trace, d_out)
-        return g.d_input, {"parents": g.parents, "child_keys": g.child_keys,
-                           "child_values": g.child_values}
-    if plugin.kind == "adapter":
-        g = adapter_mod.adapter_backward(plugin.layers[layer], trace, d_out)
-        return g.d_input, {"down": g.down, "down_bias": g.down_bias, "up": g.up,
-                           "up_bias": g.up_bias, "norm_gain": g.norm_gain,
-                           "norm_bias": g.norm_bias}
-    a0, a1 = plugin.layers[layer]
-    t0, t1 = trace
-    g1 = adapter_mod.adapter_backward(a1, t1, d_out)
-    g0 = adapter_mod.adapter_backward(a0, t0, g1.d_input)
-    grads = {}
-    for tag, g in (("a0", g0), ("a1", g1)):
-        grads.update({f"{tag}.down": g.down, f"{tag}.down_bias": g.down_bias,
-                      f"{tag}.up": g.up, f"{tag}.up_bias": g.up_bias,
-                      f"{tag}.norm_gain": g.norm_gain, f"{tag}.norm_bias": g.norm_bias})
-    return g0.d_input, grads
+    stack = plugin.layers[layer]
+    grads = [None] * len(stack)
+    for i in reversed(range(len(stack))):
+        d_out, grads[i] = stack[i].backward(traces[i], d_out)
+    return d_out, {_stack_tag(i, len(stack)) + name: g
+                   for i, named in enumerate(grads) for name, g in named.items()}
 
 
 def encode(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
@@ -305,7 +365,7 @@ def encode(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
                                            counter, collect_plugin)
         h = out_flat.reshape(b, s, cfg.d)
         if capture_routing:
-            routing.append(ptrace.parent_probs[np.arange(b) * s])
+            routing.append(ptrace[0].parent_probs[np.arange(b) * s])
         if collect:
             layer_caches.append((attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace))
     bundle = layer_caches if collect else None
@@ -349,8 +409,8 @@ def classify_backward(model: Model, fw_state, d_logits: np.ndarray) -> dict[str,
         "head.weight": d_logits.T @ pooled,
         "head.bias": d_logits.sum(axis=0),
     }
-    if model.plugin.kind == "none":
-        return grads
+    if not any(model.plugin.layers):
+        return grads  # no plugin: only the head trains
 
     d_pooled = d_logits @ model.params.head_weight
     if model.cfg.pooling == "first":
@@ -374,48 +434,30 @@ def classify_backward(model: Model, fw_state, d_logits: np.ndarray) -> dict[str,
     return grads
 
 
-def iter_named_tensors(model: Model):
-    """Yields (name, array, trainable) over every tensor in the model.
+def plugin_slots(plugin: PluginSpec):
+    """(name, owner, field, trainable) for every plugin tensor, in checkpoint order."""
+    for l, stack in enumerate(plugin.layers):
+        for i, inst in enumerate(stack):
+            for fname, _ in inst.shapes(inst.cfg):
+                yield f"plugin.layer{l}.{_stack_tag(i, len(stack))}{fname}", inst, fname, True
 
-    The order is fixed so checkpoints and optimizer state are reproducible.
-    """
-    p = model.params
-    yield "backbone.token_emb", p.token_emb, False
-    yield "backbone.pos_emb", p.pos_emb, False
+
+def tensor_slots(model: Model):
+    """(name, owner, field, trainable) for every tensor: the array is
+    getattr(owner, field). The order is fixed so checkpoints and optimizer
+    state are reproducible."""
+    p, cfg = model.params, model.cfg
+    for fname, _ in p.embedding_shapes(cfg):
+        yield f"backbone.{fname}", p, fname, False
     for l, lw in enumerate(p.layers):
-        for fname in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo",
-                      "ln1_gain", "ln1_bias", "w1", "b1", "w2", "b2",
-                      "ln2_gain", "ln2_bias"):
-            yield f"backbone.layer{l}.{fname}", getattr(lw, fname), False
-    yield "head.weight", p.head_weight, True
-    yield "head.bias", p.head_bias, True
-    plugin = model.plugin
-    for l in range(model.cfg.layers):
-        if plugin.kind == "spartan":
-            sp = plugin.layers[l]
-            yield f"plugin.layer{l}.parents", sp.parents, True
-            yield f"plugin.layer{l}.child_keys", sp.child_keys, True
-            yield f"plugin.layer{l}.child_values", sp.child_values, True
-        elif plugin.kind == "adapter":
-            ap = plugin.layers[l]
-            for fname in ("down", "down_bias", "up", "up_bias", "norm_gain", "norm_bias"):
-                yield f"plugin.layer{l}.{fname}", getattr(ap, fname), True
-        elif plugin.kind == "adapterx2":
-            for tag, ap in zip(("a0", "a1"), plugin.layers[l]):
-                for fname in ("down", "down_bias", "up", "up_bias", "norm_gain", "norm_bias"):
-                    yield f"plugin.layer{l}.{tag}.{fname}", getattr(ap, fname), True
+        for fname, _ in lw.shapes(cfg):
+            yield f"backbone.layer{l}.{fname}", lw, fname, False
+    for fname, _ in p.head_shapes(cfg, p.num_labels):
+        yield fname.replace("_", ".", 1), p, fname, True  # head_weight -> head.weight
+    yield from plugin_slots(model.plugin)
 
 
-def get_tensor(model: Model, name: str) -> np.ndarray:
-    for n, arr, _ in iter_named_tensors(model):
-        if n == name:
-            return arr
-    raise KeyError(name)
-
-
-def set_tensor(model: Model, name: str, value: np.ndarray) -> None:
-    """In-place overwrite, preserving shape; used by the optimizer and loader."""
-    arr = get_tensor(model, name)
-    if arr.shape != value.shape:
-        raise ShapeError(f"tensor {name}: shape {value.shape} != {arr.shape}")
-    arr[...] = value
+def iter_named_tensors(model: Model):
+    """Yields (name, array, trainable) over every tensor, in tensor_slots order."""
+    for name, owner, fname, trainable in tensor_slots(model):
+        yield name, getattr(owner, fname), trainable

@@ -21,12 +21,10 @@ import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import adapter as adapter_mod
-from . import memory as memory_mod
 from .backbone import (
     BackboneConfig,
     Model,
@@ -34,9 +32,12 @@ from .backbone import (
     _plugin_forward,
     classify_backward,
     classify_forward,
+    encode,
     init_backbone,
     make_plugin,
-    encode,
+    plugin_kind,
+    plugin_slots,
+    tensor_slots,
 )
 from .numerics import MacCounter, ParameterError, make_rng
 from .training import TrainConfig, adam_step, cross_entropy_batch, init_optimizer
@@ -160,10 +161,16 @@ def _dtype(cfg: BenchConfig):
     return np.float32 if cfg.precision == "f32" else np.float64
 
 
-def _spartan_cfg(cfg: BenchConfig, dense: bool) -> memory_mod.SpartanConfig:
-    k = cfg.num_parents if dense else cfg.top_k
-    return memory_mod.SpartanConfig(d=cfg.d, num_parents=cfg.num_parents,
-                                    children_per_parent=cfg.children_per_parent, top_k=k)
+def _plugin(cfg: BenchConfig):
+    """(kind, config) of the arm, the config read from the bench fields of the
+    same names; spartan-dense is the memory layer routing to every parent."""
+    dense = cfg.architecture == "spartan-dense"
+    kind = "spartan" if dense else cfg.architecture
+    config = plugin_kind(kind).config
+    values = {f.name: getattr(cfg, f.name) for f in fields(config)} if config else {}
+    if dense:
+        values["top_k"] = cfg.num_parents
+    return kind, config(**values) if config else None
 
 
 def build_plugin_spec(cfg: BenchConfig, layers: int, rng: np.random.Generator) -> PluginSpec:
@@ -173,41 +180,22 @@ def build_plugin_spec(cfg: BenchConfig, layers: int, rng: np.random.Generator) -
     bb_cfg = BackboneConfig(d=cfg.d, layers=layers, heads=1, ffn_dim=cfg.ffn_dim,
                             vocab_hash_buckets=cfg.vocab_hash_buckets,
                             max_seq_len=max(cfg.seq_len, 2))
-    if cfg.architecture in ("spartan", "spartan-dense"):
-        spec = make_plugin("spartan", bb_cfg, rng,
-                           spartan_cfg=_spartan_cfg(cfg, cfg.architecture == "spartan-dense"))
-        for sp in spec.layers:
-            sp.child_values[...] = rng.normal(0.0, 1.0 / np.sqrt(cfg.d), sp.child_values.shape)
-    elif cfg.architecture in ("adapter", "adapterx2"):
-        spec = make_plugin(cfg.architecture, bb_cfg, rng,
-                           adapter_cfg=adapter_mod.AdapterConfig(d=cfg.d, bottleneck=cfg.bottleneck))
-        instances = [a for entry in spec.layers for a in (entry if isinstance(entry, tuple) else (entry,))]
-        for ap in instances:
-            ap.up[...] = rng.normal(0.0, 1.0 / np.sqrt(cfg.bottleneck), ap.up.shape)
-    else:
-        spec = make_plugin("none", bb_cfg, rng)
-    _cast_plugin(spec, _dtype(cfg))
+    kind, plugin_cfg = _plugin(cfg)
+    spec = make_plugin(kind, bb_cfg, rng, plugin_cfg)
+    # tensors that init leaves at zero, drawn here so that every plugin does real work
+    start_std = {"child_values": 1.0 / np.sqrt(cfg.d), "up": 1.0 / np.sqrt(cfg.bottleneck)}
+    for _, inst, fname, _ in plugin_slots(spec):
+        if fname in start_std:
+            arr = getattr(inst, fname)
+            arr[...] = rng.normal(0.0, start_std[fname], arr.shape)
+    _cast(plugin_slots(spec), _dtype(cfg))
     return spec
 
 
-def _cast_plugin(spec: PluginSpec, dtype) -> None:
-    for l, entry in enumerate(spec.layers):
-        if entry is None:
-            continue
-        if isinstance(entry, tuple):
-            for ap in entry:
-                _cast_adapter(ap, dtype)
-        elif isinstance(entry, memory_mod.SpartanLayerParams):
-            entry.parents = entry.parents.astype(dtype)
-            entry.child_keys = entry.child_keys.astype(dtype)
-            entry.child_values = entry.child_values.astype(dtype)
-        else:
-            _cast_adapter(entry, dtype)
-
-
-def _cast_adapter(ap, dtype) -> None:
-    for name in ("down", "down_bias", "up", "up_bias", "norm_gain", "norm_bias"):
-        setattr(ap, name, getattr(ap, name).astype(dtype))
+def _cast(slots, dtype) -> None:
+    """Replace each slot's tensor by its cast to dtype (no copy if it has it)."""
+    for _, owner, fname, _ in slots:
+        setattr(owner, fname, getattr(owner, fname).astype(dtype, copy=False))
 
 
 def build_bench_model(cfg: BenchConfig, rng: np.random.Generator) -> Model:
@@ -215,18 +203,8 @@ def build_bench_model(cfg: BenchConfig, rng: np.random.Generator) -> Model:
                             vocab_hash_buckets=cfg.vocab_hash_buckets,
                             max_seq_len=max(cfg.seq_len, 2))
     params = init_backbone(bb_cfg, cfg.num_labels, rng)
-    spec = build_plugin_spec(cfg, cfg.layers, rng)
-    model = Model(bb_cfg, params, spec)
-    dtype = _dtype(cfg)
-    if dtype is not np.float64:
-        params.token_emb = params.token_emb.astype(dtype)
-        params.pos_emb = params.pos_emb.astype(dtype)
-        for lw in params.layers:
-            for fname in ("wq", "wk", "wv", "wo", "bq", "bk", "bv", "bo", "ln1_gain",
-                          "ln1_bias", "w1", "b1", "w2", "b2", "ln2_gain", "ln2_bias"):
-                setattr(lw, fname, getattr(lw, fname).astype(dtype))
-        params.head_weight = params.head_weight.astype(dtype)
-        params.head_bias = params.head_bias.astype(dtype)
+    model = Model(bb_cfg, params, build_plugin_spec(cfg, cfg.layers, rng))
+    _cast(tensor_slots(model), _dtype(cfg))
     return model
 
 
@@ -261,19 +239,19 @@ def run_micro_bench(cfg: BenchConfig) -> BenchReport:
     x = rng.standard_normal((t, cfg.d)).astype(_dtype(cfg))
     counter = MacCounter()
 
-    if cfg.threads == 1:
-        def step():
-            return _plugin_forward(spec, 0, x, counter, False)[0]
-    else:
-        pool = ThreadPoolExecutor(max_workers=cfg.threads)
-        parts = [x[c] for c in _chunks(t, cfg.threads)]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        if cfg.threads == 1:
+            def step():
+                return _plugin_forward(spec, 0, x, counter, False)[0]
+        else:
+            parts = [x[c] for c in _chunks(t, cfg.threads)]
 
-        def step():
-            futures = [pool.submit(_plugin_forward, spec, 0, part, counter, False)
-                       for part in parts]
-            return [f.result()[0] for f in futures][0]
+            def step():
+                futures = [pool.submit(_plugin_forward, spec, 0, part, counter, False)
+                           for part in parts]
+                return [f.result()[0] for f in futures][0]
 
-    instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
+        instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
     positions = (instances + cfg.warmup_batches * cfg.batch_size) * cfg.seq_len
     per_position = counter.total // positions if positions else 0
     return BenchReport(
@@ -296,18 +274,18 @@ def run_inference_bench(cfg: BenchConfig) -> BenchReport:
     ids = rng.integers(0, cfg.vocab_hash_buckets, size=(cfg.batch_size, cfg.seq_len))
     counter = MacCounter()
 
-    if cfg.threads == 1:
-        def step():
-            return encode(model, ids, counter=counter)[0]
-    else:
-        pool = ThreadPoolExecutor(max_workers=cfg.threads)
-        parts = [ids[c] for c in _chunks(cfg.batch_size, cfg.threads)]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        if cfg.threads == 1:
+            def step():
+                return encode(model, ids, counter=counter)[0]
+        else:
+            parts = [ids[c] for c in _chunks(cfg.batch_size, cfg.threads)]
 
-        def step():
-            futures = [pool.submit(encode, model, part, counter) for part in parts]
-            return [f.result()[0] for f in futures][0]
+            def step():
+                futures = [pool.submit(encode, model, part, counter) for part in parts]
+                return [f.result()[0] for f in futures][0]
 
-    instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
+        instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
     positions = (instances + cfg.warmup_batches * cfg.batch_size) * cfg.seq_len
     per_position = counter.total // (positions * cfg.layers) if positions else 0
     return BenchReport(
@@ -335,7 +313,6 @@ def run_finetune_bench(cfg: BenchConfig, train_cfg: TrainConfig | None = None) -
     ids = rng.integers(0, cfg.vocab_hash_buckets, size=(cfg.batch_size, cfg.seq_len))
     labels = rng.integers(0, cfg.num_labels, size=cfg.batch_size)
     opt = init_optimizer(model)
-    pool = ThreadPoolExecutor(max_workers=cfg.threads) if cfg.threads > 1 else None
     parts = _chunks(cfg.batch_size, cfg.threads)
 
     def part_grads(chunk):
@@ -344,7 +321,7 @@ def run_finetune_bench(cfg: BenchConfig, train_cfg: TrainConfig | None = None) -
         return logits, classify_backward(model, state, d_logits)
 
     def step():
-        if pool is None:
+        if cfg.threads == 1:
             results = [part_grads(chunk) for chunk in parts]
         else:
             results = list(pool.map(part_grads, parts))
@@ -357,7 +334,8 @@ def run_finetune_bench(cfg: BenchConfig, train_cfg: TrainConfig | None = None) -
         adam_step(opt, model, grads, train_cfg)
         return results[0][0]
 
-    instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
     # forward-pass plugin MACs; the backward pass is not instrumented
     per_position = _cfg_macs(cfg)
     return BenchReport(

@@ -3,6 +3,9 @@
 Scalars are serialized through Python's shortest-exact float repr, so a
 save/load round trip reproduces float64 tensors bit for bit. Desk-scale models
 keep the files small enough that human-inspectable text storage is worth it.
+The tensors and their order come from the schema walk `iter_named_tensors`;
+loading builds a blank model from the config echo and fills it, so a file
+that disagrees with the schema is a DataError, never a half-loaded model.
 """
 
 from __future__ import annotations
@@ -13,23 +16,15 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adapter as adapter_mod
-from . import memory as memory_mod
-from .backbone import BackboneConfig, BackboneParams, LayerWeights, Model, PluginSpec, iter_named_tensors
+from .backbone import BackboneConfig, Model, empty_model, iter_named_tensors, plugin_kind
 from .data import DataError
 
 FORMAT_VERSION = 1
 
 
 def plugin_config_dict(model: Model) -> dict:
-    spec = model.plugin
-    if spec.kind == "none":
-        return {"kind": "none"}
-    if spec.kind == "spartan":
-        return {"kind": "spartan", **asdict(spec.layers[0].cfg)}
-    entry = spec.layers[0]
-    acfg = (entry[0] if isinstance(entry, tuple) else entry).cfg
-    return {"kind": spec.kind, **asdict(acfg)}
+    stack = model.plugin.layers[0]
+    return {"kind": model.plugin.kind, **(asdict(stack[0].cfg) if stack else {})}
 
 
 def save_checkpoint(path, model: Model, seed: int, label_manifest: dict | None = None,
@@ -59,77 +54,56 @@ def save_checkpoint(path, model: Model, seed: int, label_manifest: dict | None =
         fh.write("\n")
 
 
-def _empty_model(backbone_cfg: BackboneConfig, num_labels: int, plugin_cfg: dict) -> Model:
-    d, f = backbone_cfg.d, backbone_cfg.ffn_dim
-    zeros = np.zeros
-    layers = [
-        LayerWeights(
-            wq=zeros((d, d)), wk=zeros((d, d)), wv=zeros((d, d)), wo=zeros((d, d)),
-            bq=zeros(d), bk=zeros(d), bv=zeros(d), bo=zeros(d),
-            ln1_gain=zeros(d), ln1_bias=zeros(d),
-            w1=zeros((f, d)), b1=zeros(f), w2=zeros((d, f)), b2=zeros(d),
-            ln2_gain=zeros(d), ln2_bias=zeros(d),
-        )
-        for _ in range(backbone_cfg.layers)
-    ]
-    params = BackboneParams(
-        token_emb=zeros((backbone_cfg.vocab_hash_buckets, d)),
-        pos_emb=zeros((backbone_cfg.max_seq_len, d)),
-        layers=layers,
-        head_weight=zeros((num_labels, d)),
-        head_bias=zeros(num_labels),
-    )
-    kind = plugin_cfg["kind"]
-    if kind == "none":
-        spec = PluginSpec("none", [None] * backbone_cfg.layers)
-    elif kind == "spartan":
-        scfg = memory_mod.SpartanConfig(
-            d=plugin_cfg["d"], num_parents=plugin_cfg["num_parents"],
-            children_per_parent=plugin_cfg["children_per_parent"], top_k=plugin_cfg["top_k"])
-        n, c = scfg.num_parents, scfg.children_per_parent
-        spec = PluginSpec("spartan", [
-            memory_mod.SpartanLayerParams(scfg, zeros((n, scfg.d)), zeros((n, c, scfg.d)),
-                                          zeros((n, c, scfg.d)))
-            for _ in range(backbone_cfg.layers)
-        ])
-    else:
-        acfg = adapter_mod.AdapterConfig(d=plugin_cfg["d"], bottleneck=plugin_cfg["bottleneck"])
-        b = acfg.bottleneck
-
-        def blank():
-            return adapter_mod.AdapterParams(acfg, zeros((b, d)), zeros(b), zeros((d, b)),
-                                             zeros(d), zeros(d), zeros(d))
-
-        entries = [(blank(), blank()) if kind == "adapterx2" else blank()
-                   for _ in range(backbone_cfg.layers)]
-        spec = PluginSpec(kind, entries)
-    return Model(backbone_cfg, params, spec)
+def _blank_model(config: dict) -> Model:
+    """Zero-filled model of a checkpoint's config echo; a malformed echo raises
+    KeyError, TypeError or ValueError (ParameterError is one)."""
+    plugin = dict(config["plugin"])
+    kind = plugin.pop("kind")
+    config_type = plugin_kind(kind).config
+    plugin_cfg = config_type(**plugin) if config_type else None
+    return empty_model(BackboneConfig(**config["backbone"]), config["num_labels"], kind, plugin_cfg)
 
 
 def load_checkpoint(path):
-    """Rebuilds the model; returns (model, metadata dict with seed/config/labels)."""
+    """Rebuilds the model; returns (model, metadata dict with seed/config/labels).
+
+    Any file that does not match the format, or whose tensors disagree with
+    the schema in name, shape, dtype or trainable flag, raises DataError.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"checkpoint {path}: not valid JSON ({exc})") from exc
+    if not isinstance(payload, dict):
+        raise DataError(f"checkpoint {path}: not a JSON object")
     if payload.get("format_version") != FORMAT_VERSION:
         raise DataError(f"unsupported checkpoint format version {payload.get('format_version')}")
+    try:
+        model = _blank_model(payload["config"])
+        stored = payload["tensors"]
+        meta = {key: payload[key] for key in ("seed", "label_manifest", "config")}
+    except KeyError as exc:
+        raise DataError(f"checkpoint {path}: missing key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path}: bad config ({exc})") from exc
 
-    cfg = BackboneConfig(**payload["config"]["backbone"])
-    model = _empty_model(cfg, payload["config"]["num_labels"], payload["config"]["plugin"])
-    stored = payload["tensors"]
-    for name, arr, _ in iter_named_tensors(model):
+    for name, arr, trainable in iter_named_tensors(model):
         if name not in stored:
             raise DataError(f"checkpoint missing tensor {name}")
-        entry = stored[name]
-        values = np.asarray(entry["values"], dtype=entry["dtype"]).reshape(entry["shape"])
+        try:
+            entry = stored[name]
+            declared = (entry["trainable"], entry["dtype"])
+            values = np.asarray(entry["values"], dtype=arr.dtype).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint {path}: tensor {name} is malformed ({exc})") from exc
+        if declared != (trainable, str(arr.dtype)):
+            raise DataError(f"tensor {name}: stored trainable/dtype {declared} "
+                            f"!= expected {(trainable, str(arr.dtype))}")
         if values.shape != arr.shape:
             raise DataError(f"tensor {name}: shape {values.shape} != expected {arr.shape}")
         arr[...] = values
-    meta = {
-        "seed": payload["seed"],
-        "label_manifest": payload["label_manifest"],
-        "config": payload["config"],
-    }
     return model, meta

@@ -10,17 +10,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import analysis as analysis_mod
 from . import bench as bench_mod
 from . import params as params_mod
-from .adapter import AdapterConfig
-from .backbone import BackboneConfig, Model, init_backbone, make_plugin
+from .backbone import PLUGINS, BackboneConfig, Model, init_backbone, make_plugin
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DataError, few_shot_sample, load_jsonl
-from .memory import DegenerateSelectionError, SpartanConfig
+from .memory import DegenerateSelectionError
 from .numerics import ParameterError, ShapeError, make_rng
 from .training import NumericalError, TrainConfig, evaluate, train, write_metrics_csv
 
@@ -69,28 +68,37 @@ def load_run_config(path: str | None) -> dict:
     return conf
 
 
+def _build(cls, given, section: str, **fixed):
+    """cls(**fixed, **given), rejecting any given field the dataclass does not
+    declare; a None cls declares no fields and builds None."""
+    if not isinstance(given, dict):
+        raise UsageError(f"{section} section must be a JSON object")
+    unknown = set(given) - ({f.name for f in fields(cls)} - set(fixed) if cls else set())
+    if unknown:
+        raise UsageError(f"unknown {section} fields: {sorted(unknown)}")
+    try:
+        return cls(**fixed, **given) if cls else None
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise UsageError(f"{section}: {exc}") from exc
+
+
 def _plugin_from_config(conf: dict, backbone_cfg: BackboneConfig):
-    """(kind, spartan_cfg, adapter_cfg); rejects a d that disagrees with the backbone."""
+    """(kind, plugin config or None); rejects a d that disagrees with the backbone."""
+    if not isinstance(conf.get("plugin", {}), dict):
+        raise UsageError("plugin section must be a JSON object")
     pconf = dict(conf.get("plugin", {}))
     kind = pconf.pop("kind", "spartan")
+    if kind not in PLUGINS:
+        raise UsageError(f"unknown plugin kind {kind!r}; expected one of {tuple(PLUGINS)}")
     d = pconf.pop("d", backbone_cfg.d)
     if d != backbone_cfg.d:
         raise UsageError(f"plugin d={d} does not match backbone d={backbone_cfg.d}")
-    if kind == "spartan":
-        allowed = {"num_parents", "children_per_parent", "top_k"}
-        extra = set(pconf) - allowed
-        if extra:
-            raise UsageError(f"unknown spartan plugin fields: {sorted(extra)}")
-        return kind, SpartanConfig(d=d, **pconf), None
-    if kind in ("adapter", "adapterx2"):
-        allowed = {"bottleneck"}
-        extra = set(pconf) - allowed
-        if extra:
-            raise UsageError(f"unknown adapter plugin fields: {sorted(extra)}")
-        return kind, None, AdapterConfig(d=d, **pconf)
-    if kind == "none":
-        return kind, None, None
-    raise UsageError(f"unknown plugin kind {kind!r}")
+    return kind, _build(PLUGINS[kind].config, pconf, f"{kind} plugin", d=d)
+
+
+def _check_labels(examples, num_labels: int, path) -> None:
+    if any(not 0 <= ex.label < num_labels for ex in examples):
+        raise DataError(f"labels outside [0, {num_labels}) in {path}")
 
 
 def _load_examples(path: str):
@@ -113,30 +121,28 @@ def cmd_train(args) -> int:
     if not examples:
         raise DataError(f"no examples in {args.data}")
     num_labels = conf["num_labels"] or max(ex.label for ex in examples) + 1
-    if any(not 0 <= ex.label < num_labels for ex in examples):
-        raise DataError(f"labels outside [0, {num_labels}) in {args.data}")
+    _check_labels(examples, num_labels, args.data)
 
-    backbone_cfg = BackboneConfig(**conf["backbone"])
-    kind, spartan_cfg, adapter_cfg = _plugin_from_config(conf, backbone_cfg)
+    backbone_cfg = _build(BackboneConfig, conf["backbone"], "backbone")
+    kind, plugin_cfg = _plugin_from_config(conf, backbone_cfg)
 
     rng = make_rng(seed)
     params = init_backbone(backbone_cfg, num_labels, rng)
-    plugin = make_plugin(kind, backbone_cfg, rng, spartan_cfg=spartan_cfg, adapter_cfg=adapter_cfg)
-    model = Model(backbone_cfg, params, plugin)
+    model = Model(backbone_cfg, params, make_plugin(kind, backbone_cfg, rng, plugin_cfg))
 
     train_conf = dict(conf["train"])
     train_conf["seed"] = seed
     if args.lr is not None:
         train_conf["learning_rate"] = args.lr
-    tcfg = TrainConfig(**train_conf)
+    tcfg = _build(TrainConfig, train_conf, "train")
 
     train_set = examples
     if args.few_shot is not None:
         train_set = few_shot_sample(examples, args.few_shot, make_rng(seed))
         if args.steps is None:
-            tcfg.steps = tcfg.few_shot_steps
+            tcfg = replace(tcfg, steps=tcfg.few_shot_steps)
     if args.steps is not None:
-        tcfg.steps = args.steps
+        tcfg = replace(tcfg, steps=args.steps)  # replace() re-runs the range checks
 
     result = train(model, train_set, tcfg)
 
@@ -162,6 +168,7 @@ def cmd_eval(args) -> int:
     examples = load_jsonl(args.data, label_map=meta["label_manifest"] or None)
     if not examples:
         raise DataError(f"no examples in {args.data}")
+    _check_labels(examples, model.params.num_labels, args.data)
     acc = evaluate(model, examples)
     payload = {"accuracy": acc, "examples": len(examples), "model": str(args.model)}
     print(f"accuracy {acc:.4f}")
@@ -210,6 +217,7 @@ def cmd_analyze(args) -> int:
     examples = load_jsonl(args.data, label_map=meta["label_manifest"] or None)
     if not examples:
         raise DataError(f"no examples in {args.data}")
+    _check_labels(examples, model.params.num_labels, args.data)
     layer = args.layer if args.layer == "last" else int(args.layer)
     records = analysis_mod.collect_selections(model, examples, layer)
     stats = analysis_mod.specialization_stats(records)
@@ -225,8 +233,8 @@ def cmd_analyze(args) -> int:
 def cmd_params(args) -> int:
     if args.config:
         conf = load_run_config(args.config)
-        backbone_cfg = BackboneConfig(**conf["backbone"])
-        kind, spartan_cfg, adapter_cfg = _plugin_from_config(conf, backbone_cfg)
+        backbone_cfg = _build(BackboneConfig, conf["backbone"], "backbone")
+        kind, plugin_cfg = _plugin_from_config(conf, backbone_cfg)
         num_labels = conf["num_labels"] or 2
     else:
         # full-size comparison shapes, matching the benchmark defaults
@@ -235,10 +243,8 @@ def cmd_params(args) -> int:
                                       ffn_dim=bdefault.ffn_dim,
                                       vocab_hash_buckets=bdefault.vocab_hash_buckets,
                                       max_seq_len=128)
-        kind, spartan_cfg, adapter_cfg = "spartan", SpartanConfig(d=bdefault.d), None
-        num_labels = 2
-    report = params_mod.build_report(backbone_cfg, num_labels, kind, tasks=args.tasks,
-                                     spartan_cfg=spartan_cfg, adapter_cfg=adapter_cfg)
+        kind, plugin_cfg, num_labels = "spartan", None, 2
+    report = params_mod.build_report(backbone_cfg, num_labels, kind, args.tasks, plugin_cfg)
     print(params_mod.render_table(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

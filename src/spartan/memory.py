@@ -31,6 +31,7 @@ from .numerics import (
     MacCounter,
     ParameterError,
     ShapeError,
+    check_shapes,
     matvec,
     sample_gaussian,
     softmax_rows,
@@ -75,14 +76,24 @@ class SpartanLayerParams:
     child_keys: np.ndarray
     child_values: np.ndarray
 
+    @staticmethod
+    def shapes(cfg: SpartanConfig) -> tuple:
+        """The tensor schema: (field, shape) in checkpoint order."""
+        n, c, d = cfg.num_parents, cfg.children_per_parent, cfg.d
+        return (("parents", (n, d)), ("child_keys", (n, c, d)), ("child_values", (n, c, d)))
+
     def __post_init__(self):
-        n, c, d = self.cfg.num_parents, self.cfg.children_per_parent, self.cfg.d
-        if self.parents.shape != (n, d):
-            raise ShapeError(f"parents shape {self.parents.shape} != ({n}, {d})")
-        if self.child_keys.shape != (n, c, d):
-            raise ShapeError(f"child_keys shape {self.child_keys.shape} != ({n}, {c}, {d})")
-        if self.child_values.shape != (n, c, d):
-            raise ShapeError(f"child_values shape {self.child_values.shape} != ({n}, {c}, {d})")
+        check_shapes(self, self.shapes(self.cfg))
+
+    # The plugin interface. Both look forward_batch/backward_batch up in this
+    # module's globals on every call, so wrappers installed there see them.
+    def forward(self, x: np.ndarray, counter: MacCounter | None, collect: bool):
+        return forward_batch(self, x, counter, collect)
+
+    def backward(self, trace: BatchTrace, d_out: np.ndarray):
+        """(d_input, {field: gradient}) for the schema's tensors."""
+        g = backward_batch(self, trace, d_out)
+        return g.d_input, {name: getattr(g, name) for name, _ in self.shapes(self.cfg)}
 
 
 @dataclass

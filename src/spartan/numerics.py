@@ -38,6 +38,14 @@ class ParameterError(ValueError):
     """Raised when a scalar argument (count, index, rate) is out of range."""
 
 
+def check_shapes(obj, schema) -> None:
+    """Raise ShapeError unless each (name, shape) of the schema matches obj.name's shape."""
+    for name, shape in schema:
+        got = getattr(obj, name).shape
+        if got != shape:
+            raise ShapeError(f"{name} shape {got} != {shape}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; identical seeds give identical draw sequences."""
     return np.random.Generator(np.random.PCG64(seed))

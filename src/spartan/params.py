@@ -5,16 +5,23 @@ closed-form total `base + 2*T*(P + P*C)*d*L`, and an exact enumeration that
 walks every tensor. The closed form carries a factor 2 on the parent term even
 though parents have no key/value split, so it exceeds the enumerated count;
 the report surfaces the gap rather than silently reconciling it.
+
+Shapes come from the tensor schema in `backbone`: a model of the requested
+configuration is built from zero-stride views, which cost no memory, and
+walked exactly as `iter_named_tensors` walks a real one.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from . import adapter as adapter_mod
 from . import memory as memory_mod
-from .backbone import BackboneConfig, Model, iter_named_tensors
+from .backbone import BackboneConfig, Model, empty_model, iter_named_tensors, plugin_config
 from .numerics import ParameterError
 
 BYTES_PER_SCALAR = 4
@@ -52,86 +59,26 @@ def spartan_formula_added(t: int, p: int, c: int, d: int, l: int) -> int:
     return spartan_formula_total(0, t, p, c, d, l)
 
 
+def _shape_only(shape) -> np.ndarray:
+    return np.broadcast_to(np.zeros(()), shape)
+
+
 def iter_tensor_shapes(cfg: BackboneConfig, num_labels: int, plugin_kind: str,
                        spartan_cfg: memory_mod.SpartanConfig | None = None,
                        adapter_cfg: adapter_mod.AdapterConfig | None = None):
     """(name, shape, trainable) for every tensor a model of this configuration
-    would hold, without materializing it; mirrors iter_named_tensors order."""
-    d, f = cfg.d, cfg.ffn_dim
-    yield "backbone.token_emb", (cfg.vocab_hash_buckets, d), False
-    yield "backbone.pos_emb", (cfg.max_seq_len, d), False
-    per_layer = [("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
-                 ("bq", (d,)), ("bk", (d,)), ("bv", (d,)), ("bo", (d,)),
-                 ("ln1_gain", (d,)), ("ln1_bias", (d,)),
-                 ("w1", (f, d)), ("b1", (f,)), ("w2", (d, f)), ("b2", (d,)),
-                 ("ln2_gain", (d,)), ("ln2_bias", (d,))]
-    for l in range(cfg.layers):
-        for fname, shape in per_layer:
-            yield f"backbone.layer{l}.{fname}", shape, False
-    yield "head.weight", (num_labels, d), True
-    yield "head.bias", (num_labels,), True
-
-    if plugin_kind == "none":
-        return
-    if plugin_kind == "spartan":
-        scfg = spartan_cfg or memory_mod.SpartanConfig(d=d)
-        n, c = scfg.num_parents, scfg.children_per_parent
-        for l in range(cfg.layers):
-            yield f"plugin.layer{l}.parents", (n, scfg.d), True
-            yield f"plugin.layer{l}.child_keys", (n, c, scfg.d), True
-            yield f"plugin.layer{l}.child_values", (n, c, scfg.d), True
-        return
-    acfg = adapter_cfg or adapter_mod.AdapterConfig(d=d)
-    b = acfg.bottleneck
-    adapter_tensors = [("down", (b, acfg.d)), ("down_bias", (b,)), ("up", (acfg.d, b)),
-                       ("up_bias", (acfg.d,)), ("norm_gain", (acfg.d,)), ("norm_bias", (acfg.d,))]
-    for l in range(cfg.layers):
-        if plugin_kind == "adapter":
-            for fname, shape in adapter_tensors:
-                yield f"plugin.layer{l}.{fname}", shape, True
-        elif plugin_kind == "adapterx2":
-            for tag in ("a0", "a1"):
-                for fname, shape in adapter_tensors:
-                    yield f"plugin.layer{l}.{tag}.{fname}", shape, True
-        else:
-            raise ParameterError(f"unknown plugin kind {plugin_kind!r}")
+    would hold, in iter_named_tensors order, without allocating it."""
+    pcfg = plugin_config(plugin_kind, cfg.d, spartan_cfg, adapter_cfg)
+    model = empty_model(cfg, num_labels, plugin_kind, pcfg, alloc=_shape_only)
+    for name, arr, trainable in iter_named_tensors(model):
+        yield name, arr.shape, trainable
 
 
-def _scalar_count(shape) -> int:
-    n = 1
-    for s in shape:
-        n *= s
-    return n
-
-
-def enumerate_params(model: Model) -> dict:
-    """Exact per-tensor count over a constructed model, split frozen/trainable."""
-    frozen = trainable = plugin = head = 0
-    per_tensor = {}
-    for name, arr, is_trainable in iter_named_tensors(model):
-        n = int(arr.size)
-        per_tensor[name] = n
-        if is_trainable:
-            trainable += n
-            if name.startswith("plugin."):
-                plugin += n
-            else:
-                head += n
-        else:
-            frozen += n
-    return {"frozen": frozen, "trainable": trainable, "plugin": plugin,
-            "head": head, "total": frozen + trainable, "per_tensor": per_tensor}
-
-
-def count_from_shapes(cfg: BackboneConfig, num_labels: int, plugin_kind: str,
-                      spartan_cfg=None, adapter_cfg=None) -> dict:
-    """Same split as enumerate_params but computed from shapes alone."""
+def _split_counts(named) -> dict:
+    """Scalar counts over (name, shape, trainable), split frozen / plugin / head."""
     frozen = plugin = head = 0
-    names = {}
-    for name, shape, is_trainable in iter_tensor_shapes(cfg, num_labels, plugin_kind,
-                                                        spartan_cfg, adapter_cfg):
-        n = _scalar_count(shape)
-        names[name] = list(shape)
+    for name, shape, is_trainable in named:
+        n = math.prod(shape)
         if not is_trainable:
             frozen += n
         elif name.startswith("plugin."):
@@ -139,8 +86,20 @@ def count_from_shapes(cfg: BackboneConfig, num_labels: int, plugin_kind: str,
         else:
             head += n
     return {"frozen": frozen, "plugin": plugin, "head": head,
-            "trainable": plugin + head, "total": frozen + plugin + head,
-            "shapes": names}
+            "trainable": plugin + head, "total": frozen + plugin + head}
+
+
+def enumerate_params(model: Model) -> dict:
+    """Exact per-tensor count over a constructed model, split frozen/trainable."""
+    named = [(name, arr.shape, t) for name, arr, t in iter_named_tensors(model)]
+    return {**_split_counts(named), "per_tensor": {name: math.prod(s) for name, s, _ in named}}
+
+
+def count_from_shapes(cfg: BackboneConfig, num_labels: int, plugin_kind: str,
+                      spartan_cfg=None, adapter_cfg=None) -> dict:
+    """Same split as enumerate_params but computed from shapes alone."""
+    named = list(iter_tensor_shapes(cfg, num_labels, plugin_kind, spartan_cfg, adapter_cfg))
+    return {**_split_counts(named), "shapes": {name: list(s) for name, s, _ in named}}
 
 
 def build_report(cfg: BackboneConfig, num_labels: int, plugin_kind: str, tasks: int = 1,
@@ -159,12 +118,12 @@ def build_report(cfg: BackboneConfig, num_labels: int, plugin_kind: str, tasks: 
     total_enum = backbone + tasks * added
 
     total_formula = formula_added = None
-    if plugin_kind == "spartan":
-        scfg = spartan_cfg or memory_mod.SpartanConfig(d=cfg.d)
-        total_formula = spartan_formula_total(backbone, tasks, scfg.num_parents,
-                                              scfg.children_per_parent, scfg.d, cfg.layers)
-        formula_added = spartan_formula_added(1, scfg.num_parents,
-                                              scfg.children_per_parent, scfg.d, cfg.layers)
+    pcfg = plugin_config(plugin_kind, cfg.d, spartan_cfg, adapter_cfg)
+    if isinstance(pcfg, memory_mod.SpartanConfig):  # the closed form models the memory layer only
+        total_formula = spartan_formula_total(backbone, tasks, pcfg.num_parents,
+                                              pcfg.children_per_parent, pcfg.d, cfg.layers)
+        formula_added = spartan_formula_added(1, pcfg.num_parents,
+                                              pcfg.children_per_parent, pcfg.d, cfg.layers)
     manifest = json.dumps(counts["shapes"]).encode("utf-8")
     return ParamReport(
         plugin_kind=plugin_kind,

@@ -40,6 +40,9 @@ class TrainConfig:
             raise ParameterError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.steps < 0 or self.few_shot_steps < 0:
+            raise ParameterError(
+                f"steps and few_shot_steps must be >= 0, got {self.steps}, {self.few_shot_steps}")
 
 
 @dataclass

@@ -51,7 +51,7 @@ def small_dataset(n_per=10):
 class TestCollectSelections:
     def test_zero_parent_matrix_gives_uniform_and_argmax_zero(self):
         model = analysis_model(1)
-        for sp in model.plugin.layers:
+        for (sp,) in model.plugin.layers:
             sp.parents[...] = 0.0
         records = collect_selections(model, small_dataset(), layer="last")
         for r in records:

@@ -1,10 +1,15 @@
+import collections
+
 import numpy as np
 import pytest
 
 from fdcheck import central_diff, max_rel_err
+from spartan import adapter as adapter_mod
+from spartan import memory as memory_mod
 from spartan.backbone import (
     BackboneConfig,
     Model,
+    _plugin_forward,
     classify,
     classify_backward,
     classify_forward,
@@ -16,6 +21,7 @@ from spartan.backbone import (
 )
 from spartan.memory import SpartanConfig
 from spartan.numerics import ParameterError, ShapeError, make_rng
+from spartan.params import iter_tensor_shapes
 from spartan.training import cross_entropy_batch
 
 CFG = BackboneConfig(d=32, layers=2, heads=2, ffn_dim=48, vocab_hash_buckets=256, max_seq_len=16)
@@ -137,7 +143,7 @@ class TestEndToEndGradients:
     def test_plugin_and_head_gradients_match_finite_differences(self):
         model = small_model(14)
         rng = make_rng(15)
-        for sp in model.plugin.layers:
+        for (sp,) in model.plugin.layers:
             sp.child_values[...] = rng.normal(0.0, 0.3, sp.child_values.shape)
         ids = np.stack([tokenize("one two three", CFG), tokenize("four five six", CFG)])
         labels = np.array([0, 2])
@@ -183,7 +189,7 @@ class TestEndToEndGradients:
         logits, state = classify_forward(model, ids, collect=True)
         _, d_logits = cross_entropy_batch(logits, labels)
         grads = classify_backward(model, state, d_logits)
-        arr = model.plugin.layers[0].parents
+        arr = model.plugin.layers[0][0].parents
         fd = central_diff(loss, arr)
         assert max_rel_err(grads["plugin.layer0.parents"], fd) <= 1e-6
 
@@ -201,3 +207,94 @@ class TestIdentityAtInit:
         h0, _, _ = encode(base, ids)
         h1, _, _ = encode(plugged, ids)
         assert np.max(np.abs(h0 - h1)) <= 1e-12
+
+
+# The names are the checkpoint format, so they are spelled out here rather
+# than derived from the schema they pin.
+_FROZEN_NAMES = [
+    "backbone.token_emb", "backbone.pos_emb",
+    "backbone.layer0.wq", "backbone.layer0.wk", "backbone.layer0.wv", "backbone.layer0.wo",
+    "backbone.layer0.bq", "backbone.layer0.bk", "backbone.layer0.bv", "backbone.layer0.bo",
+    "backbone.layer0.ln1_gain", "backbone.layer0.ln1_bias",
+    "backbone.layer0.w1", "backbone.layer0.b1", "backbone.layer0.w2", "backbone.layer0.b2",
+    "backbone.layer0.ln2_gain", "backbone.layer0.ln2_bias",
+    "backbone.layer1.wq", "backbone.layer1.wk", "backbone.layer1.wv", "backbone.layer1.wo",
+    "backbone.layer1.bq", "backbone.layer1.bk", "backbone.layer1.bv", "backbone.layer1.bo",
+    "backbone.layer1.ln1_gain", "backbone.layer1.ln1_bias",
+    "backbone.layer1.w1", "backbone.layer1.b1", "backbone.layer1.w2", "backbone.layer1.b2",
+    "backbone.layer1.ln2_gain", "backbone.layer1.ln2_bias",
+]
+_HEAD_NAMES = ["head.weight", "head.bias"]
+_PLUGIN_NAMES = {
+    "none": [],
+    "spartan": [
+        "plugin.layer0.parents", "plugin.layer0.child_keys", "plugin.layer0.child_values",
+        "plugin.layer1.parents", "plugin.layer1.child_keys", "plugin.layer1.child_values",
+    ],
+    "adapter": [
+        "plugin.layer0.down", "plugin.layer0.down_bias", "plugin.layer0.up",
+        "plugin.layer0.up_bias", "plugin.layer0.norm_gain", "plugin.layer0.norm_bias",
+        "plugin.layer1.down", "plugin.layer1.down_bias", "plugin.layer1.up",
+        "plugin.layer1.up_bias", "plugin.layer1.norm_gain", "plugin.layer1.norm_bias",
+    ],
+    "adapterx2": [
+        "plugin.layer0.a0.down", "plugin.layer0.a0.down_bias", "plugin.layer0.a0.up",
+        "plugin.layer0.a0.up_bias", "plugin.layer0.a0.norm_gain", "plugin.layer0.a0.norm_bias",
+        "plugin.layer0.a1.down", "plugin.layer0.a1.down_bias", "plugin.layer0.a1.up",
+        "plugin.layer0.a1.up_bias", "plugin.layer0.a1.norm_gain", "plugin.layer0.a1.norm_bias",
+        "plugin.layer1.a0.down", "plugin.layer1.a0.down_bias", "plugin.layer1.a0.up",
+        "plugin.layer1.a0.up_bias", "plugin.layer1.a0.norm_gain", "plugin.layer1.a0.norm_bias",
+        "plugin.layer1.a1.down", "plugin.layer1.a1.down_bias", "plugin.layer1.a1.up",
+        "plugin.layer1.a1.up_bias", "plugin.layer1.a1.norm_gain", "plugin.layer1.a1.norm_bias",
+    ],
+}
+
+
+class TestTensorNames:
+    TINY = BackboneConfig(d=4, layers=2, heads=1, ffn_dim=6, vocab_hash_buckets=8, max_seq_len=4)
+    TINY_SPARTAN = SpartanConfig(d=4, num_parents=2, children_per_parent=1, top_k=1)
+
+    @pytest.mark.parametrize("kind", ["none", "spartan", "adapter", "adapterx2"])
+    def test_names_order_and_trainable_flags(self, kind):
+        rng = make_rng(0)
+        model = Model(self.TINY, init_backbone(self.TINY, 2, rng),
+                      make_plugin(kind, self.TINY, rng, spartan_cfg=self.TINY_SPARTAN))
+        expect = ([(n, False) for n in _FROZEN_NAMES]
+                  + [(n, True) for n in _HEAD_NAMES + _PLUGIN_NAMES[kind]])
+        assert [(n, t) for n, _, t in iter_named_tensors(model)] == expect
+        shapes = iter_tensor_shapes(self.TINY, 2, kind, spartan_cfg=self.TINY_SPARTAN)
+        assert [(n, t) for n, _, t in shapes] == expect
+
+
+class TestDispatchAtCallTime:
+    """The plugin dispatch must look the layer functions up in their modules
+    on every call: profilers and tests replace those module attributes."""
+
+    def _count_calls(self, monkeypatch):
+        calls = collections.Counter()
+        for module, name in ((memory_mod, "forward_batch"), (memory_mod, "backward_batch"),
+                             (adapter_mod, "adapter_forward")):
+            def wrapper(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    def test_memory_forward_and_backward_are_reached(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        model = small_model(20)
+        ids = np.stack([tokenize("one two", CFG), tokenize("three four", CFG)])
+        encode(model, ids)
+        assert calls["forward_batch"] == CFG.layers
+        logits, state = classify_forward(model, ids, collect=True)
+        classify_backward(model, state, np.ones_like(logits))
+        assert calls["forward_batch"] == 2 * CFG.layers
+        assert calls["backward_batch"] == CFG.layers
+
+    def test_adapter_forward_is_reached_for_every_stacked_instance(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        model = small_model(21, kind="adapterx2")
+        _plugin_forward(model.plugin, 0, make_rng(22).standard_normal((5, CFG.d)), None, False)
+        assert calls["adapter_forward"] == 2
+        encode(model, np.array([[0, 1, 2]]))
+        assert calls["adapter_forward"] == 2 + 2 * CFG.layers

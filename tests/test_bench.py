@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -97,6 +98,12 @@ class TestRunners:
         assert report.instances_per_minute > 0
         assert report.macs_per_position_per_plugin == count_macs("adapter", cfg.d,
                                                                  bottleneck=cfg.bottleneck)
+
+    @pytest.mark.parametrize("runner", [run_micro_bench, run_inference_bench, run_finetune_bench])
+    def test_worker_pool_is_shut_down(self, runner):
+        before = threading.active_count()
+        runner(BenchConfig(architecture="adapter", threads=2, **{**TINY, "layers": 1}))
+        assert threading.active_count() == before
 
     def test_inference_end_to_end(self):
         cfg = BenchConfig(architecture="spartan", **TINY)

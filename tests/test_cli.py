@@ -264,3 +264,115 @@ class TestUsage:
 
     def test_unknown_flag_exits_1(self, capsys):
         assert main(["train", "--nonsense"]) == 1
+
+
+def _assert_one_line_error(capsys, *words):
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    for word in words:
+        assert word in err, err
+
+
+class TestCheckpointLoaderErrors:
+    """A damaged or inconsistent checkpoint is a data error: exit 2, one line."""
+
+    @pytest.fixture
+    def saved(self, workdir):
+        tmp, config, data = workdir
+        path = tmp / "model.json"
+        save_checkpoint(path, random_model(0), seed=0)
+        return path, data
+
+    def _rewrite(self, path, edit):
+        payload = json.loads(path.read_text())
+        edit(payload)
+        path.write_text(json.dumps(payload))
+
+    def test_corrupt_file(self, saved, capsys):
+        path, data = saved
+        path.write_text(path.read_text()[:200])
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "not valid JSON")
+
+    def test_missing_key(self, saved, capsys):
+        path, data = saved
+        self._rewrite(path, lambda p: p["config"].pop("num_labels"))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "num_labels")
+
+    def test_unknown_plugin_kind(self, saved, capsys):
+        path, data = saved
+        self._rewrite(path, lambda p: p["config"]["plugin"].update(kind="mystery"))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "mystery")
+
+    def test_flipped_trainable_flag(self, saved, capsys):
+        path, data = saved
+        self._rewrite(path, lambda p: p["tensors"]["backbone.layer0.wq"].update(trainable=True))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "backbone.layer0.wq")
+
+    def test_dtype_disagreeing_with_schema(self, saved, capsys):
+        path, data = saved
+        self._rewrite(path, lambda p: p["tensors"]["head.bias"].update(dtype="float32"))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "head.bias")
+
+
+class TestConfigValidation:
+    def _config(self, tmp, **sections):
+        conf = {**TINY_CONFIG, **sections}
+        path = tmp / "conf.json"
+        path.write_text(json.dumps(conf))
+        return path
+
+    @pytest.mark.parametrize("section, value, word", [
+        ("backbone", {"bogus": 1}, "bogus"),
+        ("plugin", {"kind": "adapter", "top_k": 2}, "top_k"),
+        ("plugin", 5, "plugin section"),
+    ])
+    def test_bad_section_is_a_usage_error(self, workdir, capsys, section, value, word):
+        tmp, _, _ = workdir
+        path = self._config(tmp, **{section: value})
+        assert main(["params", "--config", str(path)]) == 1
+        _assert_one_line_error(capsys, "usage error", word)
+
+    def test_unknown_train_field_is_a_usage_error(self, workdir, capsys):
+        tmp, _, data = workdir
+        path = self._config(tmp, train={"stepz": 3})
+        assert main(["train", "--config", str(path), "--data", str(data),
+                     "--out", str(tmp / "x.json")]) == 1
+        _assert_one_line_error(capsys, "usage error", "stepz")
+
+
+    def test_negative_steps_flag_is_rejected(self, workdir, capsys):
+        tmp, config, data = workdir
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp / "x.json"), "--steps", "-1"]) == 1
+        _assert_one_line_error(capsys, "steps")
+        assert not (tmp / "x.json").exists()
+
+
+class TestLabelRange:
+    @pytest.fixture
+    def trained(self, workdir):
+        tmp, config, data = workdir
+        out = tmp / "model.json"
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(out), "--steps", "1"]) == 0
+        bad = tmp / "bad_labels.jsonl"
+        bad.write_text('{"text": "alpha beta", "label": 0}\n{"text": "gamma", "label": 7}\n')
+        return out, bad
+
+    def test_eval_rejects_label_outside_checkpoint_range(self, trained, capsys):
+        out, bad = trained
+        capsys.readouterr()
+        assert main(["eval", "--model", str(out), "--data", str(bad)]) == 2
+        _assert_one_line_error(capsys, "data error", "[0, 4)")
+
+    def test_analyze_rejects_label_outside_checkpoint_range(self, trained, capsys, tmp_path):
+        out, bad = trained
+        capsys.readouterr()
+        assert main(["analyze", "--model", str(out), "--data", str(bad),
+                     "--out", str(tmp_path / "a")]) == 2
+        _assert_one_line_error(capsys, "data error", "[0, 4)")

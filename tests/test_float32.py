@@ -11,7 +11,7 @@ import pytest
 
 from spartan import bench as bench_mod
 from spartan.adapter import AdapterConfig, adapter_backward, adapter_forward, init_adapter
-from spartan.backbone import classify_backward, classify_forward, encode
+from spartan.backbone import PluginSpec, classify_backward, classify_forward, encode, plugin_slots
 from spartan.memory import (
     SpartanConfig,
     SpartanLayerParams,
@@ -61,7 +61,7 @@ class TestPlugins:
     def test_adapter_forward_and_backward(self):
         rng = make_rng(3)
         params = init_adapter(AdapterConfig(d=12, bottleneck=4), rng)
-        bench_mod._cast_adapter(params, F32)
+        bench_mod._cast(plugin_slots(PluginSpec("adapter", [(params,)])), F32)
         x = normal32(rng, 9, 12)
         out, trace = adapter_forward(params, x, collect_trace=True)
         grads = adapter_backward(params, trace, normal32(rng, 9, 12))

@@ -152,7 +152,7 @@ class TestTrainLoop:
         # nonzero head so gradient actually reaches the plugins
         model.params.head_weight[...] = make_rng(16).normal(0, 0.2,
                                                             model.params.head_weight.shape)
-        for sp in model.plugin.layers:
+        for (sp,) in model.plugin.layers:
             sp.child_values[...] = make_rng(17).normal(0, 0.2, sp.child_values.shape)
         _, grads = compute_batch_gradients(model, token_lists, labels)
 
@@ -160,7 +160,7 @@ class TestTrainLoop:
         from spartan.backbone import encode
         _, bundle, _ = encode(model, ids, collect=True)
         for l in range(model.cfg.layers):
-            ptrace = bundle[l][4]
+            (ptrace,) = bundle[l][4]
             ever = set(np.unique(ptrace.selected).tolist())
             never = [i for i in range(8) if i not in ever]
             if not never:
@@ -191,6 +191,11 @@ class TestTrainLoop:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ParameterError):
             train(make_model(20), [], TrainConfig(steps=1))
+
+    @pytest.mark.parametrize("field", ["steps", "few_shot_steps"])
+    def test_negative_step_counts_rejected(self, field):
+        with pytest.raises(ParameterError, match=field):
+            TrainConfig(**{field: -1})
 
 
 class TestEvaluate:
