@@ -20,6 +20,7 @@ import numpy as np
 from .backbone import Model, encode, tokenize
 from .data import Example
 from .numerics import ParameterError
+from .training import _group_by_length
 
 
 @dataclass
@@ -58,19 +59,15 @@ def collect_selections(model: Model, dataset: list[Example], layer="last") -> li
     layer_idx = resolve_layer(model, layer)
 
     token_lists = [tokenize(ex.text, model.cfg) for ex in dataset]
-    groups: dict[int, list[int]] = {}
-    for i, ids in enumerate(token_lists):
-        groups.setdefault(len(ids), []).append(i)
-
     records: list[SelectionRecord | None] = [None] * len(dataset)
-    for _, idxs in sorted(groups.items()):
+    for idxs in _group_by_length(token_lists):
         ids = np.stack([token_lists[i] for i in idxs])
         _, _, routing = encode(model, ids, capture_routing=True)
         probs = routing[layer_idx]                         # (B, N)
         arg = probs.argmax(axis=1)                         # ties -> lowest index
         for row, i in enumerate(idxs):
             records[i] = SelectionRecord(
-                example_index=i,
+                example_index=int(i),
                 label=dataset[i].label,
                 layer=layer_idx,
                 argmax_parent=int(arg[row]),

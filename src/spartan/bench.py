@@ -43,7 +43,6 @@ from .numerics import MacCounter, ParameterError, make_rng
 from .training import TrainConfig, adam_step, cross_entropy_batch, init_optimizer
 
 ARCHITECTURES = ("spartan", "spartan-dense", "adapter", "adapterx2", "none")
-MODES = ("inference", "finetune", "micro")
 
 
 @dataclass
@@ -127,8 +126,8 @@ def count_macs(architecture: str, d: int, num_parents: int = 16,
     """Closed-form multiply-accumulates per position for the plugin alone.
 
     Sparse memory: N*d parent scoring plus K*c*2*d child key/value work.
-    Adapter: 2*d*b for the two projections; its normalization is element ops,
-    counted separately by count_norm_element_ops.
+    Adapter: 2*d*b for the two projections; its normalization is element
+    ops, not MACs.
     """
     if architecture == "spartan":
         return num_parents * d + 2 * top_k * children_per_parent * d
@@ -141,20 +140,6 @@ def count_macs(architecture: str, d: int, num_parents: int = 16,
     if architecture == "none":
         return 0
     raise ParameterError(f"architecture {architecture!r} not one of {ARCHITECTURES}")
-
-
-def count_norm_element_ops(architecture: str, d: int) -> int:
-    """Element-op estimate (6*d per normalization) reported alongside MACs."""
-    if architecture == "adapter":
-        return 6 * d
-    if architecture == "adapterx2":
-        return 12 * d
-    return 0
-
-
-def _cfg_macs(cfg: BenchConfig) -> int:
-    return count_macs(cfg.architecture, cfg.d, cfg.num_parents,
-                      cfg.children_per_parent, cfg.top_k, cfg.bottleneck)
 
 
 def _dtype(cfg: BenchConfig):
@@ -208,8 +193,9 @@ def build_bench_model(cfg: BenchConfig, rng: np.random.Generator) -> Model:
     return model
 
 
-def _chunks(total: int, workers: int) -> list[np.ndarray]:
-    return [c for c in np.array_split(np.arange(total), workers) if c.size]
+def _split(rows: np.ndarray, workers: int) -> list[np.ndarray]:
+    """Row views of rows, one per worker, without empty parts."""
+    return [part for part in np.array_split(rows, workers) if len(part)]
 
 
 def _timed_loop(step_fn, cfg: BenchConfig, instances_per_step: int):
@@ -231,40 +217,48 @@ def _timed_loop(step_fn, cfg: BenchConfig, instances_per_step: int):
     return instances, elapsed, output.dtype.name
 
 
+def _measure(cfg: BenchConfig, mode: str, parts: list, work, plugin_layers: int,
+             finish=None) -> BenchReport:
+    """Time steps of batch_size instances and count their plugin MACs.
+
+    A step runs work(part, counter) on every part, on the calling thread for
+    one part and on the worker pool otherwise; finish(results), if given,
+    turns the results into the step's output, else the first result is it.
+    MACs per position divide the counter's total over every position run,
+    warmup included, and the step's plugin layers.
+    """
+    counter = MacCounter()
+    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+        def step():
+            if len(parts) == 1:
+                results = [work(parts[0], counter)]
+            else:
+                results = list(pool.map(lambda part: work(part, counter), parts))
+            return finish(results) if finish else results[0]
+
+        instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
+    positions = (instances + cfg.warmup_batches * cfg.batch_size) * cfg.seq_len
+    per_position = counter.total // (positions * plugin_layers)
+    return BenchReport(
+        instances_per_minute=instances * 60.0 / elapsed,
+        macs_per_instance=per_position * cfg.seq_len * plugin_layers,
+        macs_per_position_per_plugin=per_position,
+        instances=instances,
+        elapsed_seconds=elapsed,
+        mode=mode,
+        config={**asdict(cfg), "mode": mode},
+        environment=environment_fingerprint(cfg),
+        output_dtype=out_dtype,
+    )
+
+
 def run_micro_bench(cfg: BenchConfig) -> BenchReport:
     """Plugin layer alone over batch_size sequences of seq_len positions."""
     rng = make_rng(cfg.seed)
     spec = build_plugin_spec(cfg, 1, rng)
-    t = cfg.batch_size * cfg.seq_len
-    x = rng.standard_normal((t, cfg.d)).astype(_dtype(cfg))
-    counter = MacCounter()
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        if cfg.threads == 1:
-            def step():
-                return _plugin_forward(spec, 0, x, counter, False)[0]
-        else:
-            parts = [x[c] for c in _chunks(t, cfg.threads)]
-
-            def step():
-                futures = [pool.submit(_plugin_forward, spec, 0, part, counter, False)
-                           for part in parts]
-                return [f.result()[0] for f in futures][0]
-
-        instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
-    positions = (instances + cfg.warmup_batches * cfg.batch_size) * cfg.seq_len
-    per_position = counter.total // positions if positions else 0
-    return BenchReport(
-        instances_per_minute=instances * 60.0 / elapsed,
-        macs_per_instance=per_position * cfg.seq_len,
-        macs_per_position_per_plugin=per_position,
-        instances=instances,
-        elapsed_seconds=elapsed,
-        mode="micro",
-        config={**asdict(cfg), "mode": "micro"},
-        environment=environment_fingerprint(cfg),
-        output_dtype=out_dtype,
-    )
+    x = rng.standard_normal((cfg.batch_size * cfg.seq_len, cfg.d)).astype(_dtype(cfg))
+    return _measure(cfg, "micro", _split(x, cfg.threads),
+                    lambda part, counter: _plugin_forward(spec, 0, part, counter, False)[0], 1)
 
 
 def run_inference_bench(cfg: BenchConfig) -> BenchReport:
@@ -272,40 +266,16 @@ def run_inference_bench(cfg: BenchConfig) -> BenchReport:
     rng = make_rng(cfg.seed)
     model = build_bench_model(cfg, rng)
     ids = rng.integers(0, cfg.vocab_hash_buckets, size=(cfg.batch_size, cfg.seq_len))
-    counter = MacCounter()
-
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        if cfg.threads == 1:
-            def step():
-                return encode(model, ids, counter=counter)[0]
-        else:
-            parts = [ids[c] for c in _chunks(cfg.batch_size, cfg.threads)]
-
-            def step():
-                futures = [pool.submit(encode, model, part, counter) for part in parts]
-                return [f.result()[0] for f in futures][0]
-
-        instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
-    positions = (instances + cfg.warmup_batches * cfg.batch_size) * cfg.seq_len
-    per_position = counter.total // (positions * cfg.layers) if positions else 0
-    return BenchReport(
-        instances_per_minute=instances * 60.0 / elapsed,
-        macs_per_instance=per_position * cfg.seq_len * cfg.layers,
-        macs_per_position_per_plugin=per_position,
-        instances=instances,
-        elapsed_seconds=elapsed,
-        mode="inference",
-        config={**asdict(cfg), "mode": "inference"},
-        environment=environment_fingerprint(cfg),
-        output_dtype=out_dtype,
-    )
+    return _measure(cfg, "inference", _split(ids, cfg.threads),
+                    lambda part, counter: encode(model, part, counter)[0], cfg.layers)
 
 
 def run_finetune_bench(cfg: BenchConfig, train_cfg: TrainConfig | None = None) -> BenchReport:
     """Training-step throughput: forward, backward, and optimizer update.
 
     Thread workers each process a slice of the batch; gradients are summed in
-    slice order and the update is one serialized step.
+    slice order and the update is one serialized step. MACs are the plugin
+    forward's, counted as it runs; the backward pass is not instrumented.
     """
     train_cfg = train_cfg or TrainConfig(batch_size=cfg.batch_size)
     rng = make_rng(cfg.seed)
@@ -313,18 +283,14 @@ def run_finetune_bench(cfg: BenchConfig, train_cfg: TrainConfig | None = None) -
     ids = rng.integers(0, cfg.vocab_hash_buckets, size=(cfg.batch_size, cfg.seq_len))
     labels = rng.integers(0, cfg.num_labels, size=cfg.batch_size)
     opt = init_optimizer(model)
-    parts = _chunks(cfg.batch_size, cfg.threads)
 
-    def part_grads(chunk):
-        logits, state = classify_forward(model, ids[chunk], collect=True)
-        _, d_logits = cross_entropy_batch(logits, labels[chunk])
+    def part_grads(part, counter):
+        part_ids, part_labels = part
+        logits, state = classify_forward(model, part_ids, counter, collect=True)
+        _, d_logits = cross_entropy_batch(logits, part_labels)
         return logits, classify_backward(model, state, d_logits)
 
-    def step():
-        if cfg.threads == 1:
-            results = [part_grads(chunk) for chunk in parts]
-        else:
-            results = list(pool.map(part_grads, parts))
+    def update(results):
         grads = results[0][1]
         for _, extra in results[1:]:
             for name, g in extra.items():
@@ -334,24 +300,13 @@ def run_finetune_bench(cfg: BenchConfig, train_cfg: TrainConfig | None = None) -
         adam_step(opt, model, grads, train_cfg)
         return results[0][0]
 
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
-    # forward-pass plugin MACs; the backward pass is not instrumented
-    per_position = _cfg_macs(cfg)
-    return BenchReport(
-        instances_per_minute=instances * 60.0 / elapsed,
-        macs_per_instance=per_position * cfg.seq_len * cfg.layers,
-        macs_per_position_per_plugin=per_position,
-        instances=instances,
-        elapsed_seconds=elapsed,
-        mode="finetune",
-        config={**asdict(cfg), "mode": "finetune"},
-        environment=environment_fingerprint(cfg),
-        output_dtype=out_dtype,
-    )
+    parts = list(zip(_split(ids, cfg.threads), _split(labels, cfg.threads)))
+    return _measure(cfg, "finetune", parts, part_grads, cfg.layers, update)
 
 
-_RUNNERS = {"inference": run_inference_bench, "micro": run_micro_bench}
+RUNNERS = {"inference": run_inference_bench, "finetune": run_finetune_bench,
+           "micro": run_micro_bench}
+MODES = tuple(RUNNERS)
 
 
 def compare_reports(arms: dict[str, BenchConfig], mode: str = "micro",
@@ -361,9 +316,9 @@ def compare_reports(arms: dict[str, BenchConfig], mode: str = "micro",
     Round-robin interleaving cancels slow machine drift that would otherwise
     bias whichever arm happened to run during a quiet stretch.
     """
-    if mode not in _RUNNERS:
-        raise ParameterError(f"compare_throughput supports modes {tuple(_RUNNERS)}")
-    runner = _RUNNERS[mode]
+    if mode not in RUNNERS:
+        raise ParameterError(f"mode {mode!r} not one of {MODES}")
+    runner = RUNNERS[mode]
     reports: dict[str, list[BenchReport]] = {name: [] for name in arms}
     for _ in range(rounds):
         for name, cfg in arms.items():

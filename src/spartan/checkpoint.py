@@ -6,6 +6,8 @@ keep the files small enough that human-inspectable text storage is worth it.
 The tensors and their order come from the schema walk `iter_named_tensors`;
 loading builds a blank model from the config echo and fills it, so a file
 that disagrees with the schema is a DataError, never a half-loaded model.
+Non-finite values are refused both ways: saving raises NumericalError before
+the file is opened, and loading treats NaN/Infinity as a DataError.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import numpy as np
 
 from .backbone import BackboneConfig, Model, empty_model, iter_named_tensors, plugin_kind
 from .data import DataError
+from .training import NumericalError
 
 FORMAT_VERSION = 1
 
@@ -31,6 +34,8 @@ def save_checkpoint(path, model: Model, seed: int, label_manifest: dict | None =
                     extra_config: dict | None = None) -> None:
     tensors = {}
     for name, arr, trainable in iter_named_tensors(model):
+        if not np.isfinite(arr).all():
+            raise NumericalError(f"tensor {name} has non-finite values; {path} not written")
         tensors[name] = {
             "shape": list(arr.shape),
             "dtype": str(arr.dtype),
@@ -54,6 +59,11 @@ def save_checkpoint(path, model: Model, seed: int, label_manifest: dict | None =
         fh.write("\n")
 
 
+def _reject_constant(token: str):
+    """json's hook for NaN, Infinity and -Infinity, which JSON does not allow."""
+    raise ValueError(f"non-finite token {token}")
+
+
 def _blank_model(config: dict) -> Model:
     """Zero-filled model of a checkpoint's config echo; a malformed echo raises
     KeyError, TypeError or ValueError (ParameterError is one)."""
@@ -75,8 +85,8 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            payload = json.load(fh, parse_constant=_reject_constant)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
         raise DataError(f"checkpoint {path}: not valid JSON ({exc})") from exc
     if not isinstance(payload, dict):
         raise DataError(f"checkpoint {path}: not a JSON object")
@@ -105,5 +115,7 @@ def load_checkpoint(path):
                             f"!= expected {(trainable, str(arr.dtype))}")
         if values.shape != arr.shape:
             raise DataError(f"tensor {name}: shape {values.shape} != expected {arr.shape}")
+        if not np.isfinite(values).all():
+            raise DataError(f"tensor {name}: non-finite values")
         arr[...] = values
     return model, meta

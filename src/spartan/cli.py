@@ -18,7 +18,7 @@ from . import bench as bench_mod
 from . import params as params_mod
 from .backbone import PLUGINS, BackboneConfig, Model, init_backbone, make_plugin
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import DataError, few_shot_sample, load_jsonl
+from .data import DataError, few_shot_sample, load_jsonl, load_label_manifest
 from .memory import DegenerateSelectionError
 from .numerics import ParameterError, ShapeError, make_rng
 from .training import NumericalError, TrainConfig, evaluate, train, write_metrics_csv
@@ -101,23 +101,14 @@ def _check_labels(examples, num_labels: int, path) -> None:
         raise DataError(f"labels outside [0, {num_labels}) in {path}")
 
 
-def _load_examples(path: str):
-    examples = load_jsonl(path)
-    manifest_path = Path(path).parent / "labels.json"
-    manifest = {}
-    if manifest_path.exists():
-        with open(manifest_path, encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    return examples, manifest
-
-
 def cmd_train(args) -> int:
     conf = load_run_config(args.config)
     if args.seed is not None:
         conf["seed"] = args.seed
     seed = int(conf["seed"])
 
-    examples, manifest = _load_examples(args.data)
+    manifest = load_label_manifest(args.data)
+    examples = load_jsonl(args.data, label_map=manifest)
     if not examples:
         raise DataError(f"no examples in {args.data}")
     num_labels = conf["num_labels"] or max(ex.label for ex in examples) + 1
@@ -199,10 +190,7 @@ def cmd_bench(args) -> int:
         top_k=args.top_k,
         bottleneck=args.bottleneck,
     )
-    runner = {"inference": bench_mod.run_inference_bench,
-              "finetune": bench_mod.run_finetune_bench,
-              "micro": bench_mod.run_micro_bench}[args.mode]
-    report = runner(cfg)
+    report = bench_mod.RUNNERS[args.mode](cfg)
     prefix = Path(args.out)
     bench_mod.write_report_json(str(prefix) + ".json", report)
     bench_mod.write_report_csv(str(prefix) + ".csv", report)

@@ -90,6 +90,24 @@ def write_jsonl(path, examples: list[Example]) -> None:
             fh.write(json.dumps({"text": ex.text, "label": ex.label}) + "\n")
 
 
+def load_label_manifest(data_path) -> dict[str, int] | None:
+    """The labels.json beside a data file, mapping label strings to ids; None
+    when there is none. A manifest that is not such a JSON object fails naming
+    the file."""
+    path = Path(data_path).parent / "labels.json"
+    if not path.exists():
+        return None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+        raise DataError(f"label manifest {path}: not valid JSON ({exc})") from exc
+    if not isinstance(manifest, dict) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in manifest.values()):
+        raise DataError(f"label manifest {path}: must map label strings to integer ids")
+    return manifest
+
+
 def load_jsonl(path, label_map: dict[str, int] | None = None) -> list[Example]:
     """One object per line with "text" and "label" fields, order preserved.
 
@@ -102,10 +120,7 @@ def load_jsonl(path, label_map: dict[str, int] | None = None) -> list[Example]:
     if not path.exists():
         raise DataError(f"data file not found: {path}")
     if label_map is None:
-        side = path.parent / "labels.json"
-        if side.exists():
-            with open(side, encoding="utf-8") as fh:
-                label_map = json.load(fh)
+        label_map = load_label_manifest(path)
 
     raw = []
     with open(path, encoding="utf-8") as fh:

@@ -19,7 +19,8 @@ from .numerics import ParameterError, make_rng
 
 
 class NumericalError(RuntimeError):
-    """Raised when training produces a non-finite loss."""
+    """Raised when training produces a non-finite loss, or a model with
+    non-finite tensors is about to be saved."""
 
 
 @dataclass

@@ -39,24 +39,30 @@ def max_rel_err(analytic, numeric, floor=REL_FLOOR):
     return float(np.max(np.abs(a - n) / denom))
 
 
-def sample_spartan_instance(seed, cfg: SpartanConfig, value_scale=0.5, tie_margin=1e-4):
-    """Random params and input, resampled away from top-K tie boundaries.
+def sample_spartan_instance(seed, cfg: SpartanConfig, value_scale=0.5, tie_margin=1e-4,
+                            positions=None):
+    """Random params and an input, resampled away from top-K tie boundaries.
 
+    The input is one position (d,), or (positions, d) when positions is given.
     The layer is non-differentiable where the K-th and (K+1)-th parent
-    probabilities meet, so instances with a gap below tie_margin are rejected.
+    probabilities meet, so instances where any position has a gap below
+    tie_margin are rejected.
     """
     rng = make_rng(seed)
+    shape = cfg.d if positions is None else (positions, cfg.d)
     for _ in range(200):
         params = init_params(cfg, rng)
         params.child_values[...] = rng.normal(0.0, value_scale, params.child_values.shape)
-        x = rng.normal(0.0, 1.0, cfg.d)
-        probs = np.sort(_parent_probs(params, x))[::-1]
-        if cfg.top_k == cfg.num_parents or probs[cfg.top_k - 1] - probs[cfg.top_k] > tie_margin:
+        x = rng.normal(0.0, 1.0, shape)
+        probs = -np.sort(-np.atleast_2d(_parent_probs(params, x)), axis=-1)
+        if cfg.top_k == cfg.num_parents or \
+                (probs[:, cfg.top_k - 1] - probs[:, cfg.top_k] > tie_margin).all():
             return params, x
     raise AssertionError("could not sample an instance away from tie boundaries")
 
 
 def _parent_probs(params: SpartanLayerParams, x):
-    logits = params.parents @ x
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
+    """Softmax over parents of one position (d,) or of each row of (T, d)."""
+    logits = x @ params.parents.T
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)

@@ -9,9 +9,9 @@ from spartan.bench import (
     ARCHITECTURES,
     BenchConfig,
     build_plugin_spec,
+    compare_reports,
     compare_throughput,
     count_macs,
-    count_norm_element_ops,
     run_finetune_bench,
     run_inference_bench,
     run_micro_bench,
@@ -44,11 +44,6 @@ class TestAnalyticCosts:
 
     def test_none_is_free(self):
         assert count_macs("none", 768) == 0
-
-    def test_norm_ops_reported_separately(self):
-        assert count_norm_element_ops("adapter", 768) == 6 * 768
-        assert count_norm_element_ops("adapterx2", 768) == 12 * 768
-        assert count_norm_element_ops("spartan", 768) == 0
 
     def test_analytic_ratio_gate(self):
         spartan = count_macs("spartan", 768)
@@ -117,6 +112,32 @@ class TestRunners:
         report = run_finetune_bench(cfg)
         assert report.instances_per_minute > 0
         assert report.mode == "finetune"
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("arch", ARCHITECTURES)
+    def test_finetune_macs_are_counted(self, arch, threads):
+        # the counter runs inside the training step's forward, so the report
+        # equals the closed form only if every layer's plugin ran as modeled
+        cfg = BenchConfig(architecture=arch, threads=threads, **TINY)
+        report = run_finetune_bench(cfg)
+        expect = count_macs(arch, cfg.d, cfg.num_parents, cfg.children_per_parent,
+                            cfg.top_k, cfg.bottleneck)
+        assert report.macs_per_position_per_plugin == expect
+        assert report.macs_per_instance == expect * cfg.seq_len * cfg.layers
+
+    def test_finetune_arms_compare_in_interleaved_rounds(self):
+        arms = {arch: BenchConfig(architecture=arch, **{**TINY, "layers": 1})
+                for arch in ("spartan", "adapter")}
+        reports = compare_reports(arms, mode="finetune", rounds=2)
+        assert {name: len(runs) for name, runs in reports.items()} == {"spartan": 2,
+                                                                       "adapter": 2}
+        for name, runs in reports.items():
+            assert all(r.mode == "finetune" and r.config["architecture"] == name
+                       and r.instances_per_minute > 0 for r in runs)
+
+    def test_unknown_compare_mode_lists_modes(self):
+        with pytest.raises(ParameterError, match="finetune"):
+            compare_reports({"spartan": BenchConfig(**TINY)}, mode="mystery")
 
     def test_repeated_runs_agree_within_noise_bound(self):
         # adjacent same-seed measurements; 15% is the accepted timing noise.

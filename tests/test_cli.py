@@ -4,12 +4,15 @@ import json
 import numpy as np
 import pytest
 
+from spartan import bench as bench_mod
+from spartan import cli
 from spartan.backbone import BackboneConfig, Model, init_backbone, iter_named_tensors, make_plugin
 from spartan.checkpoint import load_checkpoint, save_checkpoint
 from spartan.cli import build_parser, main
 from spartan.data import SyntheticTopicTask, generate_topic_dataset, write_jsonl
 from spartan.memory import SpartanConfig
 from spartan.numerics import make_rng
+from spartan.training import NumericalError, TrainResult
 
 TINY_CONFIG = {
     "seed": 0,
@@ -72,6 +75,13 @@ class TestCheckpoint:
         from spartan.data import DataError
         with pytest.raises(DataError):
             load_checkpoint(tmp_path / "absent.json")
+
+    def test_save_refuses_non_finite_tensor_and_names_it(self, tmp_path):
+        model = random_model(0)
+        model.params.head_bias[1] = np.inf
+        with pytest.raises(NumericalError, match="head.bias"):
+            save_checkpoint(tmp_path / "m.json", model, seed=0)
+        assert not (tmp_path / "m.json").exists()
 
 
 class TestTrainCommand:
@@ -148,6 +158,29 @@ class TestTrainCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_malformed_label_manifest_exits_2_naming_it(self, workdir, capsys):
+        tmp, config, data = workdir
+        (tmp / "labels.json").write_text("{not json")
+        code = main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp / "x.json")])
+        assert code == 2
+        _assert_one_line_error(capsys, "data error", "labels.json")
+        assert not (tmp / "x.json").exists()
+
+    def test_non_finite_tensor_after_training_exits_3(self, workdir, capsys, monkeypatch):
+        tmp, config, data = workdir
+
+        def poisoned_train(model, dataset, cfg):
+            model.params.head_bias[0] = np.nan
+            return TrainResult()
+
+        monkeypatch.setattr(cli, "train", poisoned_train)
+        code = main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp / "x.json")])
+        assert code == 3
+        _assert_one_line_error(capsys, "numerical failure", "head.bias")
+        assert not (tmp / "x.json").exists()
+
 
 class TestEvalCommand:
     def test_eval_matches_training_module(self, workdir, capsys):
@@ -173,6 +206,16 @@ class TestEvalCommand:
         empty.write_text("")
         assert main(["eval", "--model", str(out), "--data", str(empty)]) == 2
 
+    def test_malformed_label_manifest_exits_2_naming_it(self, workdir, capsys):
+        tmp, config, data = workdir
+        out = tmp / "model.json"
+        assert main(["train", "--config", str(config), "--data", str(data), "--out", str(out),
+                     "--steps", "1"]) == 0
+        capsys.readouterr()
+        (tmp / "labels.json").write_text('["business", "sports"]')
+        assert main(["eval", "--model", str(out), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "labels.json")
+
 
 class TestBenchCommand:
     def test_default_batch_size_is_32(self):
@@ -196,6 +239,36 @@ class TestBenchCommand:
         assert payload["mode"] == "micro"
         assert payload["instances_per_minute"] > 0
         assert (tmp_path / "micro.csv").exists()
+
+    def test_mode_choices_are_the_shared_runner_table(self):
+        action = next(a for a in build_parser()._actions if a.dest == "command")
+        bench_parser = action.choices["bench"]
+        mode = next(a for a in bench_parser._actions if a.dest == "mode")
+        assert tuple(mode.choices) == bench_mod.MODES == ("inference", "finetune", "micro")
+
+    def test_finetune_mode_writes_reports_through_shared_table(self, tmp_path, capsys,
+                                                               monkeypatch):
+        ran = []
+
+        def counting_runner(cfg):
+            ran.append(cfg.architecture)
+            return real(cfg)
+
+        real = bench_mod.RUNNERS["finetune"]
+        monkeypatch.setitem(bench_mod.RUNNERS, "finetune", counting_runner)
+        prefix = tmp_path / "ft"
+        code = main(["bench", "--arch", "adapter", "--mode", "finetune", "--batch", "4",
+                     "--seq-len", "8", "--d", "32", "--layers", "1", "--heads", "2",
+                     "--ffn-dim", "48", "--bottleneck", "8", "--warmup", "1",
+                     "--measure-seconds", "1", "--out", str(prefix)])
+        assert code == 0
+        assert ran == ["adapter"]
+        payload = json.loads((tmp_path / "ft.json").read_text())
+        assert payload["mode"] == "finetune"
+        assert payload["macs_per_position_per_plugin"] == 2 * 32 * 8
+        with open(tmp_path / "ft.csv", newline="") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["mode"] == "finetune" and row["architecture"] == "adapter"
 
 
 class TestAnalyzeCommand:
@@ -311,6 +384,22 @@ class TestCheckpointLoaderErrors:
         self._rewrite(path, lambda p: p["tensors"]["backbone.layer0.wq"].update(trainable=True))
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", "backbone.layer0.wq")
+
+    def test_nan_token_is_a_data_error(self, saved, capsys):
+        path, data = saved
+        self._rewrite(path, lambda p: p["tensors"]["head.bias"]["values"].__setitem__(
+            0, float("nan")))
+        assert "NaN" in path.read_text()
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "NaN")
+
+    def test_overflowing_value_is_a_data_error(self, saved, capsys):
+        path, data = saved
+        self._rewrite(path, lambda p: p["tensors"]["head.bias"]["values"].__setitem__(
+            0, 12345.5))
+        path.write_text(path.read_text().replace("12345.5", "1e999"))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "head.bias", "non-finite")
 
     def test_dtype_disagreeing_with_schema(self, saved, capsys):
         path, data = saved

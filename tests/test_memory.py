@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from fdcheck import central_diff, max_rel_err, sample_spartan_instance
 from spartan.memory import (
     ConsistencyError,
+    _block_size,
     DegenerateSelectionError,
     SpartanConfig,
     SpartanLayerParams,
@@ -353,6 +354,25 @@ class TestBatchedPath:
                 assert np.all(g.parents[i] == 0.0)
                 assert np.all(g.child_keys[i] == 0.0)
                 assert np.all(g.child_values[i] == 0.0)
+
+    @pytest.mark.parametrize("t, block", [(6, 1), (240, 4)])
+    def test_backward_batch_matches_central_finite_differences(self, t, block):
+        # criterion 01's bound on the production path, one parent per block
+        # and four; every position is kept off top-K ties
+        cfg = SpartanConfig(d=3, num_parents=4, children_per_parent=2, top_k=2)
+        assert _block_size(cfg.num_parents, t) == block
+        params, x = sample_spartan_instance(90 + t, cfg, positions=t)
+        u = make_rng(91 + t).normal(size=(t, 3))
+        _, trace = forward_batch(params, x, collect_trace=True)
+        g = backward_batch(params, trace, u)
+
+        def loss():
+            return float(np.sum(u * forward_batch(params, x)[0]))
+
+        assert max_rel_err(g.parents, central_diff(loss, params.parents)) <= 1e-6
+        assert max_rel_err(g.child_keys, central_diff(loss, params.child_keys)) <= 1e-6
+        assert max_rel_err(g.child_values, central_diff(loss, params.child_values)) <= 1e-6
+        assert max_rel_err(g.d_input, central_diff(loss, x)) <= 1e-6
 
     @pytest.mark.parametrize("n, k, t", [(16, 8, 1024), (10, 3, 800), (64, 4, 4000)])
     def test_block_grouped_path_matches_per_position(self, n, k, t):
