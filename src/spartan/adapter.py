@@ -17,8 +17,8 @@ import numpy as np
 
 from .numerics import (
     MacCounter,
-    ParameterError,
     ShapeError,
+    check_counts,
     check_shapes,
     gelu_cached,
     gelu_grad_cached,
@@ -34,8 +34,7 @@ class AdapterConfig:
     bottleneck: int = 64
 
     def __post_init__(self):
-        if self.d < 1 or self.bottleneck < 1:
-            raise ParameterError(f"d and bottleneck must be >= 1, got d={self.d}, b={self.bottleneck}")
+        check_counts(vars(self), d=1, bottleneck=1)
 
 
 @dataclass
@@ -96,15 +95,9 @@ def init_adapter(cfg: AdapterConfig, rng: np.random.Generator) -> AdapterParams:
 
 def adapter_forward(params: AdapterParams, x: np.ndarray, counter: MacCounter | None = None,
                     collect_trace: bool = False):
-    """normalize(x + up @ gelu(down @ x + down_bias) + up_bias) over rows of x.
-
-    Accepts a single position (d,) or a block (T, d).
-    """
+    """normalize(x + up @ gelu(down @ x + down_bias) + up_bias) over the rows
+    of a block of positions x (T, d)."""
     cfg = params.cfg
-    x = np.asarray(x)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
     if x.ndim != 2 or x.shape[1] != cfg.d:
         raise ShapeError(f"input shape {x.shape} incompatible with d={cfg.d}")
 
@@ -116,8 +109,6 @@ def adapter_forward(params: AdapterParams, x: np.ndarray, counter: MacCounter | 
         t = x.shape[0]
         counter.add("adapter_down", t * cfg.bottleneck * cfg.d)
         counter.add("adapter_up", t * cfg.bottleneck * cfg.d)
-    if single:
-        out = out[0]
     if not collect_trace:
         return out, None
     return out, AdapterTrace(x=x, pre_act=pre, act_cdf=act_cdf, hidden=hidden, ln_cache=ln_cache)
@@ -135,11 +126,7 @@ class AdapterGradients:
 
 
 def adapter_backward(params: AdapterParams, trace: AdapterTrace, d_output: np.ndarray) -> AdapterGradients:
-    """Exact gradients for all six parameter tensors and the input."""
-    d_output = np.asarray(d_output)
-    single = d_output.ndim == 1
-    if single:
-        d_output = d_output[None, :]
+    """Exact gradients for all six parameter tensors and the input (T, d)."""
     if d_output.shape != (trace.x.shape[0], params.cfg.d):
         raise ShapeError(f"d_output shape {d_output.shape} != {(trace.x.shape[0], params.cfg.d)}")
 
@@ -153,11 +140,4 @@ def adapter_backward(params: AdapterParams, trace: AdapterTrace, d_output: np.nd
     g_down = d_pre.T @ trace.x
     g_down_bias = d_pre.sum(axis=0)
     d_x = d_y + d_pre @ params.down
-    if single:
-        d_x = d_x[0]
     return AdapterGradients(g_down, g_down_bias, g_up, g_up_bias, d_gain, d_bias, d_x)
-
-
-def param_count(cfg: AdapterConfig) -> int:
-    """Scalars per adapter instance: 2*d*b + b + d + 2*d."""
-    return 2 * cfg.d * cfg.bottleneck + cfg.bottleneck + cfg.d + 2 * cfg.d

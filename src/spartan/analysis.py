@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,26 +93,6 @@ def nmi_from_contingency(table: np.ndarray) -> float:
     info = float((pij[nz] * np.log(pij[nz] / outer[nz])).sum())
     h_i = float(-(pi[pi > 0] * np.log(pi[pi > 0])).sum())
     h_j = float(-(pj[pj > 0] * np.log(pj[pj > 0])).sum())
-    if h_i == 0.0 or h_j == 0.0:
-        return 0.0
-    return 2.0 * info / (h_i + h_j)
-
-
-def nmi_bruteforce(table) -> float:
-    """Scalar-loop oracle for nmi_from_contingency; plain Python arithmetic."""
-    rows = len(table)
-    cols = len(table[0])
-    n = sum(sum(row) for row in table)
-    pi = [sum(table[i][j] for j in range(cols)) / n for i in range(rows)]
-    pj = [sum(table[i][j] for i in range(rows)) / n for j in range(cols)]
-    info = 0.0
-    for i in range(rows):
-        for j in range(cols):
-            p = table[i][j] / n
-            if p > 0:
-                info += p * math.log(p / (pi[i] * pj[j]))
-    h_i = -sum(p * math.log(p) for p in pi if p > 0)
-    h_j = -sum(p * math.log(p) for p in pj if p > 0)
     if h_i == 0.0 or h_j == 0.0:
         return 0.0
     return 2.0 * info / (h_i + h_j)

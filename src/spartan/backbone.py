@@ -32,6 +32,7 @@ from .numerics import (
     MacCounter,
     ParameterError,
     ShapeError,
+    check_counts,
     gelu_cached,
     gelu_grad_cached,
     layer_norm,
@@ -58,8 +59,8 @@ class BackboneConfig:
     pooling: str = "first"
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ParameterError(f"layers must be >= 1, got {self.layers}")
+        check_counts(vars(self), d=1, layers=1, heads=1, ffn_dim=1, vocab_hash_buckets=2,
+                     max_seq_len=1)
         if self.d % self.heads != 0:
             raise ParameterError(f"d={self.d} not divisible by heads={self.heads}")
         if self.pooling == "first-token":
@@ -67,8 +68,6 @@ class BackboneConfig:
         if self.pooling not in ("first", "mean"):
             raise ParameterError(
                 f"pooling must be 'first' ('first-token') or 'mean', got {self.pooling!r}")
-        if self.vocab_hash_buckets < 2:
-            raise ParameterError("vocab_hash_buckets must be >= 2")
 
 
 @dataclass

@@ -39,7 +39,7 @@ from .backbone import (
     plugin_slots,
     tensor_slots,
 )
-from .numerics import MacCounter, ParameterError, make_rng
+from .numerics import MacCounter, ParameterError, check_counts, make_rng
 from .training import TrainConfig, adam_step, cross_entropy_batch, init_optimizer
 
 ARCHITECTURES = ("spartan", "spartan-dense", "adapter", "adapterx2", "none")
@@ -71,14 +71,11 @@ class BenchConfig:
         if self.architecture not in ARCHITECTURES:
             raise ParameterError(
                 f"architecture {self.architecture!r} not one of {ARCHITECTURES}")
-        if self.threads < 1:
-            raise ParameterError(f"threads must be >= 1, got {self.threads}")
+        check_counts(vars(self), threads=1, batch_size=1, seq_len=1)
         if self.measure_seconds < 1:
             raise ParameterError(f"measure_seconds must be >= 1, got {self.measure_seconds}")
         if self.precision not in ("f32", "f64"):
             raise ParameterError(f"precision must be f32 or f64, got {self.precision!r}")
-        if self.batch_size < 1 or self.seq_len < 1:
-            raise ParameterError("batch_size and seq_len must be >= 1")
 
 
 @dataclass

@@ -100,6 +100,8 @@ def load_checkpoint(path):
         raise DataError(f"checkpoint {path}: missing key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"checkpoint {path}: bad config ({exc})") from exc
+    if not isinstance(stored, dict):
+        raise DataError(f"checkpoint {path}: tensors is not a JSON object")
 
     for name, arr, trainable in iter_named_tensors(model):
         if name not in stored:

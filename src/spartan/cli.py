@@ -19,8 +19,7 @@ from . import params as params_mod
 from .backbone import PLUGINS, BackboneConfig, Model, init_backbone, make_plugin
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DataError, few_shot_sample, load_jsonl, load_label_manifest
-from .memory import DegenerateSelectionError
-from .numerics import ParameterError, ShapeError, make_rng
+from .numerics import ParameterError, ShapeError, check_counts, make_rng
 from .training import NumericalError, TrainConfig, evaluate, train, write_metrics_csv
 
 EXIT_OK = 0
@@ -60,19 +59,24 @@ def load_run_config(path: str | None) -> dict:
             user = json.load(fh)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config file {p}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(user, dict):
+        raise UsageError(f"config file {p}: not a JSON object")
+    unknown = set(user) - set(conf)
+    if unknown:
+        raise UsageError(f"unknown config keys: {sorted(unknown)}")
     for key, val in user.items():
-        if isinstance(val, dict) and isinstance(conf.get(key), dict):
+        if not isinstance(conf[key], dict):
+            conf[key] = val
+        elif isinstance(val, dict):
             conf[key].update(val)
         else:
-            conf[key] = val
+            raise UsageError(f"{key} section must be a JSON object")
     return conf
 
 
 def _build(cls, given, section: str, **fixed):
     """cls(**fixed, **given), rejecting any given field the dataclass does not
     declare; a None cls declares no fields and builds None."""
-    if not isinstance(given, dict):
-        raise UsageError(f"{section} section must be a JSON object")
     unknown = set(given) - ({f.name for f in fields(cls)} - set(fixed) if cls else set())
     if unknown:
         raise UsageError(f"unknown {section} fields: {sorted(unknown)}")
@@ -84,16 +88,22 @@ def _build(cls, given, section: str, **fixed):
 
 def _plugin_from_config(conf: dict, backbone_cfg: BackboneConfig):
     """(kind, plugin config or None); rejects a d that disagrees with the backbone."""
-    if not isinstance(conf.get("plugin", {}), dict):
-        raise UsageError("plugin section must be a JSON object")
-    pconf = dict(conf.get("plugin", {}))
+    pconf = dict(conf["plugin"])
     kind = pconf.pop("kind", "spartan")
-    if kind not in PLUGINS:
+    if not isinstance(kind, str) or kind not in PLUGINS:
         raise UsageError(f"unknown plugin kind {kind!r}; expected one of {tuple(PLUGINS)}")
     d = pconf.pop("d", backbone_cfg.d)
     if d != backbone_cfg.d:
         raise UsageError(f"plugin d={d} does not match backbone d={backbone_cfg.d}")
     return kind, _build(PLUGINS[kind].config, pconf, f"{kind} plugin", d=d)
+
+
+def _num_labels(conf: dict, default: int) -> int:
+    """The config's num_labels, or default when it is null."""
+    if conf["num_labels"] is None:
+        return default
+    check_counts(conf, num_labels=2)
+    return conf["num_labels"]
 
 
 def _check_labels(examples, num_labels: int, path) -> None:
@@ -105,13 +115,14 @@ def cmd_train(args) -> int:
     conf = load_run_config(args.config)
     if args.seed is not None:
         conf["seed"] = args.seed
-    seed = int(conf["seed"])
+    check_counts(conf, seed=0)
+    seed = conf["seed"]
 
     manifest = load_label_manifest(args.data)
     examples = load_jsonl(args.data, label_map=manifest)
     if not examples:
         raise DataError(f"no examples in {args.data}")
-    num_labels = conf["num_labels"] or max(ex.label for ex in examples) + 1
+    num_labels = _num_labels(conf, max(ex.label for ex in examples) + 1)
     _check_labels(examples, num_labels, args.data)
 
     backbone_cfg = _build(BackboneConfig, conf["backbone"], "backbone")
@@ -223,7 +234,7 @@ def cmd_params(args) -> int:
         conf = load_run_config(args.config)
         backbone_cfg = _build(BackboneConfig, conf["backbone"], "backbone")
         kind, plugin_cfg = _plugin_from_config(conf, backbone_cfg)
-        num_labels = conf["num_labels"] or 2
+        num_labels = _num_labels(conf, 2)
     else:
         # full-size comparison shapes, matching the benchmark defaults
         bdefault = bench_mod.BenchConfig()
@@ -318,7 +329,7 @@ def main(argv=None) -> int:
     except (DataError, FileNotFoundError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, DegenerateSelectionError, FloatingPointError) as exc:
+    except (NumericalError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

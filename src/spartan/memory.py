@@ -12,12 +12,11 @@ The renormalized weights p[i]/Z equal a softmax over the selected raw logits
 them: it is immune to underflow of the global denominator, and it makes
 gradients w.r.t. non-selected parents exactly zero, not merely small.
 
-Two forward implementations exist: a per-position reference (`forward_position`)
-and a batched path (`forward_batch`) that groups positions by which parents of
-a small block of parents they selected, so the child work runs as dense
-products over exactly the selected children. Both do only the selected
-parents' child work. They compute the same function; tests pin them against
-each other.
+There is one implementation, over a block of positions: `forward_batch`
+groups positions by which parents of a small block of parents they selected,
+so the child work runs as dense products over exactly the selected children,
+and `backward_batch` is its exact gradient. The tests compare both against
+an independent per-position reference and against finite differences.
 """
 
 from __future__ import annotations
@@ -31,22 +30,12 @@ from .numerics import (
     MacCounter,
     ParameterError,
     ShapeError,
+    check_counts,
     check_shapes,
-    matvec,
     sample_gaussian,
     softmax_rows,
-    softmax_stable,
-    topk_indices,
     topk_rows,
 )
-
-
-class DegenerateSelectionError(ArithmeticError):
-    """Raised when the selected parent probabilities sum to exactly zero."""
-
-
-class ConsistencyError(ValueError):
-    """Raised when a trace does not match the parameters it is replayed against."""
 
 
 @dataclass
@@ -57,11 +46,8 @@ class SpartanConfig:
     top_k: int = 8
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ParameterError(f"d must be >= 1, got {self.d}")
-        if self.children_per_parent < 1:
-            raise ParameterError(f"children_per_parent must be >= 1, got {self.children_per_parent}")
-        if not 1 <= self.top_k <= self.num_parents:
+        check_counts(vars(self), d=1, num_parents=1, children_per_parent=1, top_k=1)
+        if self.top_k > self.num_parents:
             raise ParameterError(
                 f"top_k must satisfy 1 <= K <= num_parents, got K={self.top_k}, N={self.num_parents}"
             )
@@ -97,19 +83,6 @@ class SpartanLayerParams:
 
 
 @dataclass
-class ForwardTrace:
-    """Everything the backward pass needs, cached per position."""
-
-    input: np.ndarray          # (d,)
-    parent_probs: np.ndarray   # (N,)
-    selected: np.ndarray       # (K,) ascending parent indices
-    child_attn: np.ndarray     # (K, c)
-    child_outputs: np.ndarray  # (K, d)
-    agg_weights: np.ndarray    # (K,)
-    output: np.ndarray         # (d,)
-
-
-@dataclass
 class SpartanGradients:
     parents: np.ndarray
     child_keys: np.ndarray
@@ -119,11 +92,14 @@ class SpartanGradients:
 
 @dataclass
 class BatchTrace:
-    """Batched counterpart of ForwardTrace for a block of positions.
+    """What backward_batch needs from a forward_batch over (T, d) positions.
 
-    Child value outputs are not stored; the backward pass recomputes them from
-    the cached attentions, which keeps trace memory at O(T*K*c) instead of
-    O(T*K*d).
+    Per position: the parent softmax, the selected parents (ascending) and
+    their renormalized weights. Per selected parent, one group: the positions
+    that chose it (ascending), the slot k it holds there, and the child
+    attention of each. Child value outputs are not stored; the backward pass
+    recomputes them from the cached attentions, which keeps trace memory at
+    O(T*K*c) instead of O(T*K*d).
     """
 
     x: np.ndarray              # (T, d)
@@ -147,147 +123,6 @@ def init_params(cfg: SpartanConfig, rng: np.random.Generator) -> SpartanLayerPar
     child_keys = sample_gaussian(rng, n * c * d, std).reshape(n, c, d)
     child_values = np.zeros((n, c, d))
     return SpartanLayerParams(cfg, parents, child_keys, child_values)
-
-
-def choose_parents(params: SpartanLayerParams, x: np.ndarray, k: int):
-    """Softmax-score all parents against x and pick the top k (probs, indices)."""
-    probs = softmax_stable(matvec(params.parents, x))
-    return probs, topk_indices(probs, k)
-
-
-def child_representation(params: SpartanLayerParams, i: int, x: np.ndarray):
-    """Attention over parent i's child keys, then the matching value combination.
-
-    Returns (v_i, attn) where v_i = sum_j attn[j] * child_values[i][j]. The key
-    logits are used as-is; there is no temperature or 1/sqrt(d) scaling.
-    """
-    if not 0 <= i < params.cfg.num_parents:
-        raise ParameterError(f"parent index {i} out of range [0, {params.cfg.num_parents})")
-    attn = softmax_stable(matvec(params.child_keys[i], x))
-    v = attn @ params.child_values[i]
-    return v, attn
-
-
-def aggregate(parent_probs: np.ndarray, selected: np.ndarray, child_outputs: np.ndarray):
-    """Convex combination of child outputs under renormalized parent probabilities.
-
-    agg_weights[i] = parent_probs[selected[i]] / Z with Z the selected mass.
-    """
-    selected = np.asarray(selected)
-    child_outputs = np.asarray(child_outputs)
-    if selected.shape[0] != child_outputs.shape[0]:
-        raise ShapeError(
-            f"{selected.shape[0]} selected parents but {child_outputs.shape[0]} child outputs"
-        )
-    p_sel = parent_probs[selected]
-    z = p_sel.sum()
-    if z == 0.0:
-        raise DegenerateSelectionError("selected parent probabilities sum to zero")
-    w = p_sel / z
-    return w @ child_outputs, w
-
-
-def forward_position(params: SpartanLayerParams, x: np.ndarray):
-    """Full layer for one position: route, attend, aggregate, add residual.
-
-    The aggregation weights are computed as a softmax over the selected raw
-    logits, which equals parent_probs[i]/Z exactly but cannot underflow.
-    """
-    cfg = params.cfg
-    x = np.asarray(x)
-    if x.shape != (cfg.d,):
-        raise ShapeError(f"input shape {x.shape} != ({cfg.d},)")
-    logits = params.parents @ x
-    probs = softmax_stable(logits)
-    selected = topk_indices(probs, cfg.top_k)
-    w = softmax_stable(logits[selected])
-
-    attns = np.empty((cfg.top_k, cfg.children_per_parent), dtype=x.dtype)
-    vs = np.empty((cfg.top_k, cfg.d), dtype=x.dtype)
-    for k, i in enumerate(selected):
-        vs[k], attns[k] = child_representation(params, int(i), x)
-    output = x + w @ vs
-    trace = ForwardTrace(
-        input=x,
-        parent_probs=probs,
-        selected=selected,
-        child_attn=attns,
-        child_outputs=vs,
-        agg_weights=w,
-        output=output,
-    )
-    return output, trace
-
-
-def forward_sequence(params: SpartanLayerParams, xs):
-    """Position-wise independent application with shared parameters."""
-    outputs, traces = [], []
-    for x in xs:
-        out, tr = forward_position(params, x)
-        outputs.append(out)
-        traces.append(tr)
-    return outputs, traces
-
-
-def backward_position(params: SpartanLayerParams, trace: ForwardTrace, d_output: np.ndarray) -> SpartanGradients:
-    """Exact reverse-mode gradients of forward_position.
-
-    The top-K index set is treated as piecewise-constant. Because the
-    aggregation weights are a softmax over the selected logits only, rows of
-    the parent/child gradients at non-selected indices stay exactly zero.
-    """
-    cfg = params.cfg
-    n, c, d = cfg.num_parents, cfg.children_per_parent, cfg.d
-    if trace.input.shape != (d,) or trace.selected.shape != (cfg.top_k,):
-        raise ConsistencyError(
-            f"trace shapes {trace.input.shape}/{trace.selected.shape} do not match "
-            f"params (d={d}, K={cfg.top_k})"
-        )
-    if trace.child_attn.shape != (cfg.top_k, c):
-        raise ConsistencyError(f"trace child_attn shape {trace.child_attn.shape} != ({cfg.top_k}, {c})")
-    if trace.selected.min() < 0 or trace.selected.max() >= n:
-        raise ConsistencyError(f"trace selects parents outside [0, {n})")
-    d_output = np.asarray(d_output)
-    if d_output.shape != (d,):
-        raise ShapeError(f"d_output shape {d_output.shape} != ({d},)")
-
-    x, w, sel = trace.input, trace.agg_weights, trace.selected
-    g_parents = np.zeros_like(params.parents)
-    g_keys = np.zeros_like(params.child_keys)
-    g_values = np.zeros_like(params.child_values)
-    d_x = d_output.copy()
-
-    # restricted softmax over selected logits
-    u = trace.child_outputs @ d_output            # dL/d agg_weights
-    d_logits_sel = w * (u - (u @ w))
-    g_parents[sel] = np.outer(d_logits_sel, x)
-    d_x += d_logits_sel @ params.parents[sel]
-
-    for k, i in enumerate(sel):
-        i = int(i)
-        attn = trace.child_attn[k]
-        d_v = w[k] * d_output
-        g_values[i] = np.outer(attn, d_v)
-        d_attn = params.child_values[i] @ d_v
-        d_klog = attn * (d_attn - (d_attn @ attn))
-        g_keys[i] = np.outer(d_klog, x)
-        d_x += d_klog @ params.child_keys[i]
-    return SpartanGradients(g_parents, g_keys, g_values, d_x)
-
-
-def dense_reference_forward(params: SpartanLayerParams, x: np.ndarray) -> np.ndarray:
-    """No-sparsity oracle: every parent contributes with its full softmax weight.
-
-    Independent of the sparse path on purpose; used by tests and as the K=N
-    comparison arm in benchmarks.
-    """
-    x = np.asarray(x)
-    probs = softmax_stable(params.parents @ x)
-    out = x.astype(x.dtype, copy=True)
-    for i in range(params.cfg.num_parents):
-        attn = softmax_stable(params.child_keys[i] @ x)
-        out = out + probs[i] * (attn @ params.child_values[i])
-    return out
 
 
 def _block_size(n: int, t: int) -> int:
@@ -355,7 +190,8 @@ def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter
                   collect_trace: bool = False):
     """Layer forward over a block of positions (T, d), exact and sparse.
 
-    Routing picks each position's top-K parents as forward_position does.
+    Routing softmax-scores every parent and picks each position's top K,
+    ties to the lower index (numerics.topk_rows).
     Parents are then cut into blocks of b (see _block_size), and each
     (position, block) pair with a selected parent joins the group of its
     pattern: the subset of the block's parents it selected. A group gathers

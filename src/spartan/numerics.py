@@ -13,6 +13,7 @@ reproduces an entire run.
 
 from __future__ import annotations
 
+import numbers
 import threading
 
 import numpy as np
@@ -46,35 +47,24 @@ def check_shapes(obj, schema) -> None:
             raise ShapeError(f"{name} shape {got} != {shape}")
 
 
+def check_counts(values: dict, **minimums) -> None:
+    """Raise ParameterError unless each named entry of values (a config's
+    vars() or a parsed JSON object) is an integer, not a bool, of at least its
+    minimum."""
+    for name, low in minimums.items():
+        value = values[name]
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+            raise ParameterError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def make_rng(seed: int) -> np.random.Generator:
     """Seeded PCG64 generator; identical seeds give identical draw sequences."""
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def matvec(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """result[i] = sum_j m[i, j] * v[j]."""
-    m = np.asarray(m)
-    v = np.asarray(v)
-    if m.ndim != 2 or v.ndim != 1:
-        raise ShapeError(f"matvec expects matrix and vector, got {m.ndim}-d and {v.ndim}-d")
-    if m.shape[1] != v.shape[0]:
-        raise ShapeError(f"matvec shape mismatch: {m.shape} x {v.shape}")
-    return m @ v
-
-
-def softmax_stable(logits: np.ndarray) -> np.ndarray:
-    """Max-subtracted softmax of a vector; output sums to 1 and never overflows."""
-    logits = np.asarray(logits)
-    if logits.ndim != 1 or logits.shape[0] == 0:
-        raise ShapeError(f"softmax_stable expects a nonempty vector, got shape {logits.shape}")
-    z = logits - logits.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def softmax_rows(x: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax of a 2-D array; each row matches softmax_stable
-    of that row to rounding."""
+    """Row-wise max-subtracted softmax of a nonempty 2-D array; each row sums
+    to 1 and never overflows."""
     if x.ndim != 2 or x.shape[1] == 0:
         raise ShapeError(f"softmax_rows expects a nonempty 2-d array, got shape {x.shape}")
     if x.shape[1] <= _NARROW_ROWS:
@@ -89,25 +79,14 @@ def softmax_rows(x: np.ndarray) -> np.ndarray:
     return z
 
 
-def topk_indices(p: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest entries; ties broken by lower index; ascending order."""
-    p = np.asarray(p)
-    if p.ndim != 1:
-        raise ShapeError(f"topk_indices expects a vector, got shape {p.shape}")
-    if not 1 <= k <= p.shape[0]:
-        raise ParameterError(f"k={k} out of range for dimension {p.shape[0]}")
-    # stable sort of -p keeps original (lowest-first) order among equal values
-    order = np.argsort(-p, kind="stable")[:k]
-    return np.sort(order)
-
-
 def topk_rows(x: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise topk_indices for a 2-D array; returns an integer array (rows, k).
+    """Indices of each row's k largest entries, ascending; ties go to the
+    lower index. Returns an integer array (rows, k).
 
     A partition finds each row's k-th largest value and every entry at or
     above it is taken. Rows where that takes more than k entries (a tie
-    straddles the cut) or fewer (NaN) are redone with the stable sort that
-    topk_indices uses, so ties still go to the lower index.
+    straddles the cut) or fewer (NaN) are redone with a stable sort, so ties
+    still go to the lower index.
     """
     if x.ndim != 2:
         raise ShapeError(f"topk_rows expects a 2-d array, got shape {x.shape}")
@@ -130,18 +109,6 @@ def sample_gaussian(rng: np.random.Generator, n: int, stddev: float) -> np.ndarr
     if stddev < 0:
         raise ParameterError(f"stddev must be >= 0, got {stddev}")
     return rng.normal(0.0, stddev, size=n)
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Exact (erf-based) gelu."""
-    return 0.5 * x * (1.0 + erf(x / _SQRT2))
-
-
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    """d gelu / dx = Phi(x) + x * phi(x); equals 0.5 at x = 0."""
-    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    return cdf + x * pdf
 
 
 def gelu_cached(x: np.ndarray):

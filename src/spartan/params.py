@@ -21,7 +21,7 @@ import numpy as np
 
 from . import adapter as adapter_mod
 from . import memory as memory_mod
-from .backbone import BackboneConfig, Model, empty_model, iter_named_tensors, plugin_config
+from .backbone import BackboneConfig, empty_model, iter_named_tensors, plugin_config
 from .numerics import ParameterError
 
 BYTES_PER_SCALAR = 4
@@ -74,10 +74,14 @@ def iter_tensor_shapes(cfg: BackboneConfig, num_labels: int, plugin_kind: str,
         yield name, arr.shape, trainable
 
 
-def _split_counts(named) -> dict:
-    """Scalar counts over (name, shape, trainable), split frozen / plugin / head."""
+def count_from_shapes(cfg: BackboneConfig, num_labels: int, plugin_kind: str,
+                      spartan_cfg=None, adapter_cfg=None) -> dict:
+    """Scalar counts split frozen / plugin / head, and each tensor's shape,
+    computed from the configuration's shapes alone."""
     frozen = plugin = head = 0
-    for name, shape, is_trainable in named:
+    shapes = {}
+    for name, shape, is_trainable in iter_tensor_shapes(cfg, num_labels, plugin_kind,
+                                                        spartan_cfg, adapter_cfg):
         n = math.prod(shape)
         if not is_trainable:
             frozen += n
@@ -85,21 +89,9 @@ def _split_counts(named) -> dict:
             plugin += n
         else:
             head += n
+        shapes[name] = list(shape)
     return {"frozen": frozen, "plugin": plugin, "head": head,
-            "trainable": plugin + head, "total": frozen + plugin + head}
-
-
-def enumerate_params(model: Model) -> dict:
-    """Exact per-tensor count over a constructed model, split frozen/trainable."""
-    named = [(name, arr.shape, t) for name, arr, t in iter_named_tensors(model)]
-    return {**_split_counts(named), "per_tensor": {name: math.prod(s) for name, s, _ in named}}
-
-
-def count_from_shapes(cfg: BackboneConfig, num_labels: int, plugin_kind: str,
-                      spartan_cfg=None, adapter_cfg=None) -> dict:
-    """Same split as enumerate_params but computed from shapes alone."""
-    named = list(iter_tensor_shapes(cfg, num_labels, plugin_kind, spartan_cfg, adapter_cfg))
-    return {**_split_counts(named), "shapes": {name: list(s) for name, s, _ in named}}
+            "trainable": plugin + head, "total": frozen + plugin + head, "shapes": shapes}
 
 
 def build_report(cfg: BackboneConfig, num_labels: int, plugin_kind: str, tasks: int = 1,

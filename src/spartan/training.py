@@ -9,18 +9,20 @@ sequences; grouping only affects speed, not results.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .backbone import Model, classify_backward, classify_forward, iter_named_tensors, tokenize
 from .data import Example
-from .numerics import ParameterError, make_rng
+from .numerics import ParameterError, check_counts, make_rng
 
 
 class NumericalError(RuntimeError):
-    """Raised when training produces a non-finite loss, or a model with
-    non-finite tensors is about to be saved."""
+    """Raised when training produces a non-finite loss or gradient, or a model
+    with non-finite tensors is about to be saved."""
 
 
 @dataclass
@@ -37,13 +39,13 @@ class TrainConfig:
     eval_every: int = 0  # 0 = only record loss
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ParameterError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.steps < 0 or self.few_shot_steps < 0:
-            raise ParameterError(
-                f"steps and few_shot_steps must be >= 0, got {self.steps}, {self.few_shot_steps}")
+        check_counts(vars(self), batch_size=1, steps=0, few_shot_steps=0, seed=0, eval_every=0)
+        for name, high in (("learning_rate", math.inf), ("weight_decay", math.inf),
+                           ("epsilon", math.inf), ("beta1", 1.0), ("beta2", 1.0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not 0 <= value < high:
+                raise ParameterError(f"{name} must be a number in [0, {high}), got {value!r}")
 
 
 @dataclass
@@ -58,21 +60,6 @@ class OptimizerState:
 @dataclass
 class TrainResult:
     history: list = field(default_factory=list)  # dicts: step, loss, eval_accuracy?
-
-
-def cross_entropy(logits: np.ndarray, label: int):
-    """Negative log softmax probability of the true label.
-
-    Returns (loss, d_logits) with d_logits = softmax(logits) - onehot(label).
-    """
-    logits = np.asarray(logits, dtype=np.float64)
-    z = logits - logits.max()
-    e = np.exp(z)
-    p = e / e.sum()
-    loss = -(z[label] - np.log(e.sum()))
-    d = p.copy()
-    d[label] -= 1.0
-    return loss, d
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
@@ -161,8 +148,8 @@ def train(model: Model, dataset: list[Example], cfg: TrainConfig,
           eval_dataset: list[Example] | None = None) -> TrainResult:
     """Seed-deterministic fine-tuning of plugin + head on the given dataset.
 
-    Batches walk shuffled epochs; a non-finite loss aborts immediately with
-    the offending step in the message.
+    Batches walk shuffled epochs; a non-finite loss or gradient aborts before
+    the update, naming the step (and the tensor) in the message.
     """
     if not dataset:
         raise ParameterError("dataset must be nonempty")
@@ -187,6 +174,9 @@ def train(model: Model, dataset: list[Example], cfg: TrainConfig,
             model, [token_lists[i] for i in batch_idx], labels[batch_idx])
         if not np.isfinite(loss):
             raise NumericalError(f"non-finite loss at step {step}")
+        for name, g in grads.items():
+            if not np.isfinite(g).all():
+                raise NumericalError(f"non-finite gradient for {name} at step {step}")
         adam_step(opt, model, grads, cfg)
         record = {"step": step, "loss": float(loss)}
         if cfg.eval_every and eval_dataset and (step + 1) % cfg.eval_every == 0:

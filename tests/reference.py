@@ -1,0 +1,141 @@
+"""Plain reference implementations that the tests compare the package against.
+
+Each is written from the definition, one position or one row at a time, and
+shares no code with `spartan`'s batched paths. None checks its inputs: a test
+hands them well-formed arrays.
+"""
+
+import math
+from typing import NamedTuple
+
+import numpy as np
+from scipy.special import erf
+
+from spartan.backbone import iter_named_tensors
+from spartan.memory import SpartanGradients
+
+
+def softmax_stable(logits):
+    """Max-subtracted softmax of a vector."""
+    z = np.asarray(logits) - np.max(logits)
+    e = np.exp(z)
+    return e / e.sum()
+
+
+def topk_indices(p, k):
+    """Indices of the k largest entries, ties to the lower index, ascending."""
+    return np.sort(np.argsort(-np.asarray(p), kind="stable")[:k])
+
+
+def gelu(x):
+    """Exact (erf-based) gelu."""
+    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+
+
+def gelu_grad(x):
+    """d gelu / dx = Phi(x) + x * phi(x)."""
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    return cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+def cross_entropy(logits, label):
+    """(loss, d_logits) for one row: -log softmax(logits)[label]."""
+    z = np.asarray(logits, dtype=np.float64)
+    z = z - z.max()
+    d = np.exp(z) / np.exp(z).sum()
+    d[label] -= 1.0
+    return math.log(np.exp(z).sum()) - z[label], d
+
+
+def nmi_bruteforce(table) -> float:
+    """Normalized mutual information of a contingency table, in scalar loops."""
+    rows, cols = len(table), len(table[0])
+    n = sum(sum(row) for row in table)
+    pi = [sum(table[i][j] for j in range(cols)) / n for i in range(rows)]
+    pj = [sum(table[i][j] for i in range(rows)) / n for j in range(cols)]
+    info = 0.0
+    for i in range(rows):
+        for j in range(cols):
+            p = table[i][j] / n
+            if p > 0:
+                info += p * math.log(p / (pi[i] * pj[j]))
+    h_i = -sum(p * math.log(p) for p in pi if p > 0)
+    h_j = -sum(p * math.log(p) for p in pj if p > 0)
+    if h_i == 0.0 or h_j == 0.0:
+        return 0.0
+    return 2.0 * info / (h_i + h_j)
+
+
+def adapter_param_count(cfg) -> int:
+    """Scalars per adapter instance: 2*d*b + b + d + 2*d."""
+    return 2 * cfg.d * cfg.bottleneck + cfg.bottleneck + cfg.d + 2 * cfg.d
+
+
+def enumerate_params(model) -> dict:
+    """Scalars of a constructed model, split frozen / plugin / head."""
+    counts = {"frozen": 0, "plugin": 0, "head": 0}
+    for name, arr, trainable in iter_named_tensors(model):
+        if not trainable:
+            counts["frozen"] += arr.size
+        elif name.startswith("plugin."):
+            counts["plugin"] += arr.size
+        else:
+            counts["head"] += arr.size
+    counts["trainable"] = counts["plugin"] + counts["head"]
+    counts["total"] = counts["frozen"] + counts["trainable"]
+    return counts
+
+
+class PositionTrace(NamedTuple):
+    x: np.ndarray          # (d,)
+    probs: np.ndarray      # (N,) softmax over all parents
+    selected: np.ndarray   # (K,) ascending parent indices
+    attn: np.ndarray       # (K, c) child attention of each selected parent
+    values: np.ndarray     # (K, d) each selected parent's child value mix
+    weights: np.ndarray    # (K,) renormalized parent weights
+
+
+def memory_forward(params, x):
+    """The memory layer at one position (d,): route to the top-K parents,
+    attend over each one's children, mix with the parent probabilities
+    renormalized over the chosen set, add the input. Returns (output, trace)."""
+    logits = params.parents @ x
+    probs = softmax_stable(logits)
+    selected = topk_indices(probs, params.cfg.top_k)
+    weights = softmax_stable(logits[selected])  # = probs[selected] / their sum
+    attn = np.stack([softmax_stable(params.child_keys[i] @ x) for i in selected])
+    values = np.stack([a @ params.child_values[i] for a, i in zip(attn, selected)])
+    return x + weights @ values, PositionTrace(x, probs, selected, attn, values, weights)
+
+
+def memory_backward(params, trace: PositionTrace, d_output) -> SpartanGradients:
+    """Exact gradients of memory_forward at one position, selection held fixed."""
+    x, w, sel = trace.x, trace.weights, trace.selected
+    g_parents = np.zeros_like(params.parents)
+    g_keys = np.zeros_like(params.child_keys)
+    g_values = np.zeros_like(params.child_values)
+    d_x = d_output.copy()
+    u = trace.values @ d_output
+    d_logits = w * (u - u @ w)
+    g_parents[sel] = np.outer(d_logits, x)
+    d_x += d_logits @ params.parents[sel]
+    for k, i in enumerate(sel):
+        attn = trace.attn[k]
+        d_v = w[k] * d_output
+        g_values[i] = np.outer(attn, d_v)
+        d_attn = params.child_values[i] @ d_v
+        d_klog = attn * (d_attn - d_attn @ attn)
+        g_keys[i] = np.outer(d_klog, x)
+        d_x += d_klog @ params.child_keys[i]
+    return SpartanGradients(g_parents, g_keys, g_values, d_x)
+
+
+def dense_forward(params, x):
+    """The layer without sparsity at one position: every parent contributes
+    with its full softmax weight."""
+    probs = softmax_stable(params.parents @ x)
+    out = x.copy()
+    for i in range(params.cfg.num_parents):
+        attn = softmax_stable(params.child_keys[i] @ x)
+        out = out + probs[i] * (attn @ params.child_values[i])
+    return out

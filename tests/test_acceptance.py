@@ -11,6 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+import reference
 from fdcheck import central_diff, max_rel_err, sample_spartan_instance
 from spartan import analysis as analysis_mod
 from spartan import bench as bench_mod
@@ -26,13 +27,7 @@ from spartan.backbone import (
 )
 from spartan.checkpoint import load_checkpoint, save_checkpoint
 from spartan.data import SyntheticTopicTask, generate_topic_dataset
-from spartan.memory import (
-    SpartanConfig,
-    backward_position,
-    dense_reference_forward,
-    forward_position,
-    init_params,
-)
+from spartan.memory import SpartanConfig, backward_batch, forward_batch, init_params
 from spartan.numerics import MacCounter, make_rng
 from spartan.training import TrainConfig, evaluate, train
 
@@ -96,14 +91,14 @@ def test_criterion_01_gradient_correctness():
         scfg = SpartanConfig(d=8, num_parents=4, children_per_parent=2, top_k=2)
         worst = 0.0
         for seed in range(20):
-            params, x = sample_spartan_instance(1000 + seed, scfg)
-            u = make_rng(2000 + seed).normal(size=8)
-            _, trace = forward_position(params, x)
-            g = backward_position(params, trace, u)
+            params, x = sample_spartan_instance(1000 + seed, scfg, positions=4)
+            u = make_rng(2000 + seed).normal(size=(4, 8))
+            _, trace = forward_batch(params, x, collect_trace=True)
+            g = backward_batch(params, trace, u)
 
             def loss():
-                out, _ = forward_position(params, x)
-                return float(u @ out)
+                out, _ = forward_batch(params, x)
+                return float(np.sum(u * out))
 
             worst = max(worst,
                         max_rel_err(g.parents, central_diff(loss, params.parents)),
@@ -111,19 +106,20 @@ def test_criterion_01_gradient_correctness():
                         max_rel_err(g.child_values, central_diff(loss, params.child_values)),
                         max_rel_err(g.d_input, central_diff(loss, x)))
         assert worst <= 1e-6, f"memory layer worst relative error {worst:.3e}"
+        memory_worst = worst
 
         acfg = AdapterConfig(d=8, bottleneck=4)
         for seed in range(20):
             aparams = randomized_adapter(acfg, 3000 + seed)
             rng = make_rng(4000 + seed)
-            ax = rng.normal(size=8)
-            au = rng.normal(size=8)
+            ax = rng.normal(size=(1, 8))
+            au = rng.normal(size=(1, 8))
             _, tr = adapter_forward(aparams, ax, collect_trace=True)
             ag = adapter_backward(aparams, tr, au)
 
             def aloss():
                 out, _ = adapter_forward(aparams, ax)
-                return float(au @ out)
+                return float(np.sum(au * out))
 
             for name in ("down", "down_bias", "up", "up_bias", "norm_gain", "norm_bias"):
                 err = max_rel_err(getattr(ag, name), central_diff(aloss, getattr(aparams, name)))
@@ -132,23 +128,29 @@ def test_criterion_01_gradient_correctness():
         elapsed = time.perf_counter() - start
         assert worst <= 1e-6, f"adapter worst relative error {worst:.3e}"
         assert elapsed < 10.0, f"took {elapsed:.1f}s, budget 10s"
+        print(f"\n    worst relative error: memory layer {memory_worst:.1e}, "
+              f"both layers {worst:.1e}; {elapsed:.1f}s")
 
 
 def test_criterion_02_exact_gradient_sparsity():
     with criterion(2, "non-selected parent/child gradients are bitwise zero"):
         start = time.perf_counter()
         scfg = SpartanConfig(d=12, num_parents=6, children_per_parent=2, top_k=2)
+        checked = 0
         for seed in range(100):
-            params, x = sample_spartan_instance(5000 + seed, scfg, tie_margin=0.0)
-            _, trace = forward_position(params, x)
-            g = backward_position(params, trace, make_rng(6000 + seed).normal(size=12))
-            selected = set(trace.selected.tolist())
+            # two positions select at most four of the six parents
+            params, x = sample_spartan_instance(5000 + seed, scfg, tie_margin=0.0, positions=2)
+            _, trace = forward_batch(params, x, collect_trace=True)
+            g = backward_batch(params, trace, make_rng(6000 + seed).normal(size=(2, 12)))
+            selected = set(trace.selected.ravel().tolist())
             for i in range(scfg.num_parents):
                 if i in selected:
                     continue
                 assert np.all(g.parents[i] == 0.0)
                 assert np.all(g.child_keys[i] == 0.0)
                 assert np.all(g.child_values[i] == 0.0)
+                checked += 1
+        assert checked >= 200, f"only {checked} non-selected parents checked"
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.1f}s, budget 5s"
 
@@ -177,19 +179,20 @@ def test_criterion_04_dense_oracle_equivalence():
             params = init_params(dense_cfg, rng)
             params.child_values[...] = rng.normal(0.0, 0.5, params.child_values.shape)
             x = rng.normal(size=d)
-            out, trace = forward_position(params, x)
+            out, _ = forward_batch(params, x[None, :])
             worst_out = max(worst_out,
-                            float(np.max(np.abs(out - dense_reference_forward(params, x)))))
+                            float(np.max(np.abs(out[0] - reference.dense_forward(params, x)))))
             # restricted weights against the explicit p/Z quotient, sparse K
             k = int(rng.integers(1, n + 1))
             sparse = SpartanConfig(d=d, num_parents=n, children_per_parent=c, top_k=k)
             sp = init_params(sparse, make_rng(int(rng.integers(1 << 30))))
             sp.child_values[...] = rng.normal(0.0, 0.5, sp.child_values.shape)
-            _, tr = forward_position(sp, x)
-            p_sel = tr.parent_probs[tr.selected]
-            worst_w = max(worst_w, float(np.max(np.abs(tr.agg_weights - p_sel / p_sel.sum()))))
+            _, tr = forward_batch(sp, x[None, :], collect_trace=True)
+            p_sel = tr.parent_probs[0, tr.selected[0]]
+            worst_w = max(worst_w, float(np.max(np.abs(tr.agg_weights[0] - p_sel / p_sel.sum()))))
         assert worst_out <= 1e-12, f"max output deviation {worst_out:.3e}"
         assert worst_w <= 1e-12, f"max weight deviation {worst_w:.3e}"
+        print(f"\n    max deviation: output {worst_out:.1e}, weights {worst_w:.1e}")
 
 
 def test_criterion_05_compute_sparsity_and_micro_throughput():
@@ -267,7 +270,7 @@ def test_criterion_08_specialization(specialization_run):
         records = analysis_mod.collect_selections(model, train_set, layer="last")
         stats = analysis_mod.specialization_stats(records)
         best_purity = max(p for p in stats.per_parent_purity if p is not None)
-        oracle = analysis_mod.nmi_bruteforce(stats.histogram.tolist())
+        oracle = reference.nmi_bruteforce(stats.histogram.tolist())
         assert best_purity >= 0.8, f"best parent purity {best_purity:.3f}"
         assert stats.nmi >= 0.3, f"NMI {stats.nmi:.3f}"
         assert abs(stats.nmi - oracle) <= 1e-9

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import reference
 from fdcheck import central_diff, max_rel_err
 from spartan.adapter import (
     AdapterConfig,
@@ -10,9 +11,8 @@ from spartan.adapter import (
     adapter_backward,
     adapter_forward,
     init_adapter,
-    param_count,
 )
-from spartan.numerics import LN_EPS, MacCounter, ShapeError, gelu_grad, make_rng
+from spartan.numerics import LN_EPS, MacCounter, ShapeError, gelu_cached, gelu_grad_cached, make_rng
 
 
 def scalar_loop_adapter(params: AdapterParams, x):
@@ -43,7 +43,7 @@ class TestForward:
     def test_zero_up_projection_reduces_to_normalize(self):
         cfg = AdapterConfig(d=8, bottleneck=4)
         params = init_adapter(cfg, make_rng(0))  # up = 0, norm at identity
-        x = make_rng(1).normal(size=8) * 2 + 0.5
+        x = make_rng(1).normal(size=(1, 8)) * 2 + 0.5
         out, _ = adapter_forward(params, x)
         mu, var = x.mean(), x.var()
         expect = (x - mu) / np.sqrt(var + LN_EPS)
@@ -53,13 +53,13 @@ class TestForward:
         cfg = AdapterConfig(d=4, bottleneck=2)
         params, rng = randomized_adapter(cfg, 2)
         for _ in range(5):
-            x = rng.normal(size=4)
+            x = rng.normal(size=(1, 4))
             out, _ = adapter_forward(params, x)
-            assert np.max(np.abs(out - scalar_loop_adapter(params, x))) <= 1e-12
+            assert np.max(np.abs(out[0] - scalar_loop_adapter(params, x[0]))) <= 1e-12
 
     def test_parameter_count_at_default_shapes(self):
         # 768*64*2 + 64 + 768 + 2*768 per instance
-        assert param_count(AdapterConfig(d=768, bottleneck=64)) == 100672
+        assert reference.adapter_param_count(AdapterConfig(d=768, bottleneck=64)) == 100672
 
     def test_batch_rows_match_single_positions(self):
         cfg = AdapterConfig(d=6, bottleneck=3)
@@ -67,35 +67,37 @@ class TestForward:
         x = rng.normal(size=(10, 6))
         out, _ = adapter_forward(params, x)
         for t in range(10):
-            single, _ = adapter_forward(params, x[t])
-            assert np.max(np.abs(out[t] - single)) <= 1e-12
+            single, _ = adapter_forward(params, x[t:t + 1])
+            assert np.max(np.abs(out[t] - single[0])) <= 1e-12
 
     def test_shape_error(self):
+        # a wrong width, or one position without its (T, d) block axis
         params, _ = randomized_adapter(AdapterConfig(d=6, bottleneck=3), 4)
-        with pytest.raises(ShapeError):
-            adapter_forward(params, np.zeros(5))
+        for shape in ((1, 5), (6,)):
+            with pytest.raises(ShapeError):
+                adapter_forward(params, np.zeros(shape))
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         params, rng = randomized_adapter(AdapterConfig(d=8, bottleneck=4), 5)
-        x = rng.normal(size=8)
+        x = rng.normal(size=(1, 8))
         _, trace = adapter_forward(params, x, collect_trace=True)
-        g = adapter_backward(params, trace, np.zeros(8))
+        g = adapter_backward(params, trace, np.zeros((1, 8)))
         for name in ("down", "down_bias", "up", "up_bias", "norm_gain", "norm_bias", "d_input"):
             assert np.all(getattr(g, name) == 0.0)
 
     def test_matches_central_finite_differences(self):
         cfg = AdapterConfig(d=8, bottleneck=4)
         params, rng = randomized_adapter(cfg, 6)
-        x = rng.normal(size=8)
-        u = rng.normal(size=8)
+        x = rng.normal(size=(1, 8))
+        u = rng.normal(size=(1, 8))
         _, trace = adapter_forward(params, x, collect_trace=True)
         g = adapter_backward(params, trace, u)
 
         def loss():
             out, _ = adapter_forward(params, x)
-            return float(u @ out)
+            return float(np.sum(u * out))
 
         for name in ("down", "down_bias", "up", "up_bias", "norm_gain", "norm_bias"):
             arr = getattr(params, name)
@@ -103,13 +105,14 @@ class TestBackward:
         assert max_rel_err(g.d_input, central_diff(loss, x)) <= 1e-6
 
     def test_gelu_gradient_at_zero(self):
-        assert gelu_grad(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-15)
+        x = np.array([0.0])
+        assert gelu_grad_cached(x, gelu_cached(x)[1])[0] == pytest.approx(0.5, abs=1e-15)
 
 
 class TestStackedConfiguration:
     def test_two_instances_double_the_parameters(self):
         cfg = AdapterConfig(d=32, bottleneck=8)
-        single = param_count(cfg)
+        single = reference.adapter_param_count(cfg)
         a0 = init_adapter(cfg, make_rng(0))
         a1 = init_adapter(cfg, make_rng(1))
         total = sum(getattr(a, n).size for a in (a0, a1)

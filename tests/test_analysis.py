@@ -5,10 +5,10 @@ import json
 import numpy as np
 import pytest
 
+import reference
 from spartan.analysis import (
     SelectionRecord,
     collect_selections,
-    nmi_bruteforce,
     nmi_from_contingency,
     specialization_stats,
     write_selection_csv,
@@ -116,7 +116,7 @@ class TestNmi:
             if table.sum() == 0:
                 continue
             assert nmi_from_contingency(table) == pytest.approx(
-                nmi_bruteforce(table.tolist()), abs=1e-9)
+                reference.nmi_bruteforce(table.tolist()), abs=1e-9)
 
     def test_degenerate_marginal_returns_zero(self):
         assert nmi_from_contingency(np.array([[5, 5]])) == 0.0

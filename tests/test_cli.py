@@ -182,6 +182,24 @@ class TestTrainCommand:
         assert not (tmp / "x.json").exists()
 
 
+    def test_non_finite_gradient_exits_3(self, workdir, capsys, monkeypatch):
+        from spartan import training as training_mod
+        tmp, config, data = workdir
+        compute = training_mod.compute_batch_gradients
+
+        def poisoned(model, token_lists, labels):
+            loss, grads = compute(model, token_lists, labels)
+            grads["head.bias"][0] = np.inf
+            return loss, grads
+
+        monkeypatch.setattr(training_mod, "compute_batch_gradients", poisoned)
+        code = main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(tmp / "x.json")])
+        assert code == 3
+        _assert_one_line_error(capsys, "numerical failure", "head.bias", "step 0")
+        assert not (tmp / "x.json").exists()
+
+
 class TestEvalCommand:
     def test_eval_matches_training_module(self, workdir, capsys):
         tmp, config, data = workdir
@@ -401,6 +419,21 @@ class TestCheckpointLoaderErrors:
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", "head.bias", "non-finite")
 
+    def test_tensors_not_an_object(self, saved, capsys):
+        path, data = saved
+        self._rewrite(path, lambda p: p.update(tensors=1.5))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "tensors")
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("backbone", "heads", True), ("backbone", "layers", 1.5), ("plugin", "top_k", 0),
+    ])
+    def test_bad_count_in_config_echo(self, saved, capsys, section, field, value):
+        path, data = saved
+        self._rewrite(path, lambda p: p["config"][section].update({field: value}))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", field)
+
     def test_dtype_disagreeing_with_schema(self, saved, capsys):
         path, data = saved
         self._rewrite(path, lambda p: p["tensors"]["head.bias"].update(dtype="float32"))
@@ -433,6 +466,20 @@ class TestConfigValidation:
                      "--out", str(tmp / "x.json")]) == 1
         _assert_one_line_error(capsys, "usage error", "stepz")
 
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("backbone", "heads", -1), ("backbone", "heads", 0), ("backbone", "heads", True),
+        ("backbone", "d", 16.0), ("backbone", "layers", 1.5), ("plugin", "top_k", 1.5),
+        ("plugin", "num_parents", 4.0), ("plugin", "children_per_parent", 1.5),
+        ("train", "batch_size", 2.5),
+    ])
+    def test_count_must_be_a_positive_integer(self, workdir, capsys, section, field, value):
+        tmp, _, data = workdir
+        path = self._config(tmp, **{section: {**TINY_CONFIG[section], field: value}})
+        assert main(["train", "--config", str(path), "--data", str(data),
+                     "--out", str(tmp / "x.json")]) == 1
+        _assert_one_line_error(capsys, "config error", field)
+        assert not (tmp / "x.json").exists()
 
     def test_negative_steps_flag_is_rejected(self, workdir, capsys):
         tmp, config, data = workdir

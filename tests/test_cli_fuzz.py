@@ -1,0 +1,104 @@
+"""Property: a config or checkpoint with one JSON value replaced never crashes
+the CLI. `train` and `eval` exit 0, 1, 2 or 3, with at most one line on
+stderr and no traceback.
+
+Replacement integers stay small so that no mutated shape allocates much, and
+`train` runs two steps whatever the config says.
+"""
+
+import contextlib
+import io
+import json
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from spartan.cli import main
+from spartan.data import SyntheticTopicTask, generate_topic_dataset, write_jsonl
+from spartan.numerics import make_rng
+
+CONFIG = {
+    "seed": 0,
+    "num_labels": None,
+    "backbone": {"d": 8, "layers": 1, "heads": 2, "ffn_dim": 8,
+                 "vocab_hash_buckets": 32, "max_seq_len": 8, "pooling": "first"},
+    "plugin": {"kind": "spartan", "num_parents": 4, "children_per_parent": 2, "top_k": 2},
+    "train": {"learning_rate": 1e-3, "batch_size": 4, "steps": 2, "few_shot_steps": 2,
+              "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "weight_decay": 0.0,
+              "eval_every": 0},
+}
+
+SCALARS = (st.none() | st.booleans() | st.integers(min_value=-3, max_value=40)
+           | st.floats(min_value=-1e3, max_value=1e3) | st.text(max_size=6))
+JSON_VALUES = st.recursive(
+    SCALARS, lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                        max_size=3),
+    max_leaves=4)
+
+
+def value_paths(value, path=()):
+    """Every path into a JSON document, containers included. Of a tensor's
+    `values` list only the first element is visited."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from value_paths(item, path + (key,))
+    elif isinstance(value, list):
+        items = value[:1] if path[-1:] == ("values",) else value
+        for i, item in enumerate(items):
+            yield from value_paths(item, path + (i,))
+
+
+def replaced(document, path, value):
+    if not path:
+        return value
+    document = json.loads(json.dumps(document))
+    *outer, last = path
+    holder = document
+    for key in outer:
+        holder = holder[key]
+    holder[last] = value
+    return document
+
+
+@pytest.fixture(scope="module")
+def originals(tmp_path_factory):
+    """Paths of the unmutated inputs: training data and a checkpoint trained on it."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config, data, model = tmp / "config.json", tmp / "train.jsonl", tmp / "model.json"
+    config.write_text(json.dumps(CONFIG))
+    task = SyntheticTopicTask(num_topics=2, examples_per_topic=4, words_per_example=4)
+    write_jsonl(data, generate_topic_dataset(task, make_rng(0)))
+    assert main(["train", "--config", str(config), "--data", str(data), "--out", str(model)]) == 0
+    return data, model
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["train", "eval"]), draw=st.data())
+def test_one_replaced_value_never_crashes(originals, command, draw):
+    data, model = originals
+    document = CONFIG if command == "train" else json.loads(model.read_text())
+    path = draw.draw(st.sampled_from(list(value_paths(document))), label="path")
+    value = draw.draw(JSON_VALUES, label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / "input.json"
+        mutated.write_text(json.dumps(replaced(document, path, value)))
+        if command == "train":
+            # --steps keeps a run short whatever the file says; the file's
+            # own train section is still checked
+            argv = ["train", "--config", str(mutated), "--data", str(data),
+                    "--out", str(Path(tmp) / "out.json"), "--steps", "2"]
+        else:
+            argv = ["eval", "--model", str(mutated), "--data", str(data)]
+        code, err = run_cli(argv)
+    assert code in (0, 1, 2, 3), (code, err)
+    assert len(err.strip().splitlines()) <= 1 and "Traceback" not in err, err

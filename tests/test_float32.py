@@ -20,9 +20,7 @@ from spartan.memory import (
     init_params,
 )
 from spartan.numerics import (
-    gelu,
     gelu_cached,
-    gelu_grad,
     gelu_grad_cached,
     layer_norm,
     make_rng,
@@ -45,7 +43,7 @@ class TestNumericsOps:
     def test_gelu_family(self):
         x = normal32(make_rng(0), 6, 5)
         out, cdf = gelu_cached(x)
-        assert all_float32([gelu(x), gelu_grad(x), out, cdf, gelu_grad_cached(x, cdf)])
+        assert all_float32([out, cdf, gelu_grad_cached(x, cdf)])
 
     def test_layer_norm(self):
         x = normal32(make_rng(1), 6, 5)

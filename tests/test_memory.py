@@ -2,22 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from fdcheck import central_diff, max_rel_err, sample_spartan_instance
 from spartan.memory import (
-    ConsistencyError,
-    _block_size,
-    DegenerateSelectionError,
     SpartanConfig,
     SpartanLayerParams,
-    aggregate,
+    _block_size,
     backward_batch,
-    backward_position,
-    child_representation,
-    choose_parents,
-    dense_reference_forward,
     forward_batch,
-    forward_position,
-    forward_sequence,
     init_params,
 )
 from spartan.numerics import MacCounter, ParameterError, make_rng
@@ -33,15 +25,36 @@ def random_params(cfg, seed, value_scale=0.5):
     return params, rng
 
 
+def traced(params, x):
+    """forward_batch over the rows of x (a vector is one row), with its trace."""
+    return forward_batch(params, np.atleast_2d(x), collect_trace=True)
+
+
+def child_attention(trace, t, c):
+    """Child attention (K, c) of position t, one row per selected parent in
+    trace.selected[t] order, gathered from the trace's per-parent groups."""
+    attn = np.full((trace.selected.shape[1], c), np.nan)
+    for _, t_idx, k_idx, a in trace.groups:
+        hit = t_idx == t
+        attn[k_idx[hit]] = a[hit]
+    return attn
+
+
+def replay(params, trace, t):
+    """Output of position t rebuilt from the trace: input plus the weighted
+    child value mixes of its selected parents."""
+    attn = child_attention(trace, t, params.cfg.children_per_parent)
+    mixes = [a @ params.child_values[i] for a, i in zip(attn, trace.selected[t])]
+    return trace.x[t] + trace.agg_weights[t] @ np.stack(mixes)
+
+
 class TestInit:
     def test_identity_at_init(self):
         cfg = SpartanConfig(d=16, num_parents=6, children_per_parent=3, top_k=4)
         params = init_params(cfg, make_rng(0))
-        rng = make_rng(1)
-        for _ in range(100):
-            x = rng.normal(size=16)
-            out, _ = forward_position(params, x)
-            assert np.array_equal(out, x)
+        x = make_rng(1).normal(size=(100, 16))
+        out, _ = forward_batch(params, x)
+        assert np.array_equal(out, x)
 
     def test_same_seed_bitwise_identical(self):
         a = init_params(SMALL, make_rng(9))
@@ -69,107 +82,106 @@ class TestChooseParents:
         cfg = SpartanConfig(d=3, num_parents=4, children_per_parent=1, top_k=2)
         params = init_params(cfg, make_rng(0))
         params.parents[...] = 0.0
-        probs, sel = choose_parents(params, np.array([1.0, -2.0, 0.5]), 2)
-        assert np.allclose(probs, 0.25, atol=1e-15)
-        assert sel.tolist() == [0, 1]
+        _, trace = traced(params, np.array([1.0, -2.0, 0.5]))
+        assert np.allclose(trace.parent_probs, 0.25, atol=1e-15)
+        assert trace.selected.tolist() == [[0, 1]]
 
     def test_hand_case_matches_high_precision_softmax(self):
         cfg = SpartanConfig(d=2, num_parents=3, children_per_parent=1, top_k=1)
         params = init_params(cfg, make_rng(0))
         params.parents[...] = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        probs, sel = choose_parents(params, np.array([2.0, 0.0]), 1)
-        assert np.max(np.abs(probs - softmax_mpmath([2.0, 0.0, -2.0]))) <= 1e-12
-        assert sel.tolist() == [0]
+        _, trace = traced(params, np.array([2.0, 0.0]))
+        assert np.max(np.abs(trace.parent_probs[0] - softmax_mpmath([2.0, 0.0, -2.0]))) <= 1e-12
+        assert trace.selected.tolist() == [[0]]
 
     def test_k_equals_n_selects_all(self):
-        params, rng = random_params(SMALL, 3)
-        _, sel = choose_parents(params, rng.normal(size=8), 4)
-        assert sel.tolist() == [0, 1, 2, 3]
+        cfg = SpartanConfig(d=8, num_parents=4, children_per_parent=2, top_k=4)
+        params, rng = random_params(cfg, 3)
+        _, trace = traced(params, rng.normal(size=(5, 8)))
+        assert trace.selected.tolist() == [[0, 1, 2, 3]] * 5
 
 
 class TestChildRepresentation:
     def test_single_child_attention_is_one(self):
         cfg = SpartanConfig(d=4, num_parents=2, children_per_parent=1, top_k=1)
         params, rng = random_params(cfg, 4)
-        v, attn = child_representation(params, 0, rng.normal(size=4))
-        assert attn.tolist() == [1.0]
-        assert np.array_equal(v, params.child_values[0][0])
+        x = rng.normal(size=4)
+        out, trace = traced(params, x)
+        assert child_attention(trace, 0, 1).tolist() == [[1.0]]
+        assert np.array_equal(out[0], x + params.child_values[trace.selected[0, 0]][0])
 
     def test_zero_values_give_zero_output(self):
         params = init_params(SMALL, make_rng(5))
-        v, _ = child_representation(params, 1, make_rng(6).normal(size=8))
-        assert np.array_equal(v, np.zeros(8))
+        x = make_rng(6).normal(size=8)
+        out, _ = traced(params, x)
+        assert np.array_equal(out[0] - x, np.zeros(8))
 
     def test_two_children_weighted_sum_oracle(self):
         cfg = SpartanConfig(d=2, num_parents=1, children_per_parent=2, top_k=1)
         params, rng = random_params(cfg, 7)
         params.child_keys[0] = np.array([[2.0, 0.0], [0.0, 0.0]])  # logits (2, 0) at x=e0
         x = np.array([1.0, 0.0])
-        v, attn = child_representation(params, 0, x)
+        out, trace = traced(params, x)
         expect_attn = softmax_mpmath([2.0, 0.0])
-        assert np.max(np.abs(attn - expect_attn)) <= 1e-12
+        assert np.max(np.abs(child_attention(trace, 0, 2)[0] - expect_attn)) <= 1e-12
         expect_v = expect_attn[0] * params.child_values[0][0] + expect_attn[1] * params.child_values[0][1]
-        assert np.max(np.abs(v - expect_v)) <= 1e-12
-
-    def test_index_out_of_range(self):
-        params, _ = random_params(SMALL, 8)
-        with pytest.raises(ParameterError):
-            child_representation(params, 4, np.zeros(8))
+        assert np.max(np.abs(out[0] - x - expect_v)) <= 1e-12
 
 
 class TestAggregate:
     def test_singleton_renormalizes_to_one(self):
-        probs = np.array([0.01, 0.6, 0.39])
-        o, w = aggregate(probs, np.array([0]), np.array([[5.0, -1.0]]))
-        assert w.tolist() == [1.0]
-        assert o.tolist() == [5.0, -1.0]
+        cfg = SpartanConfig(d=2, num_parents=3, children_per_parent=1, top_k=1)
+        params, rng = random_params(cfg, 24)
+        _, trace = traced(params, rng.normal(size=(10, 2)))
+        assert trace.agg_weights.tolist() == [[1.0]] * 10
 
     def test_equal_children_convexity(self):
-        probs = np.array([0.2, 0.3, 0.5])
+        cfg = SpartanConfig(d=3, num_parents=3, children_per_parent=1, top_k=2)
+        params, rng = random_params(cfg, 25)
         v = np.array([1.5, -2.0, 0.25])
-        o, w = aggregate(probs, np.array([0, 2]), np.stack([v, v]))
-        assert abs(w.sum() - 1.0) <= 1e-12
-        assert np.max(np.abs(o - v)) <= 1e-12
+        params.child_values[...] = v
+        x = rng.normal(size=(10, 3))
+        out, trace = traced(params, x)
+        assert np.max(np.abs(trace.agg_weights.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(out - x - v)) <= 1e-12
 
     def test_denominator_cancellation_identity(self):
         # weights from p/Z must equal softmax over the selected raw logits
-        logits = np.array([2.0, 0.0, -2.0])
-        probs = softmax_mpmath(logits)
-        o, w = aggregate(probs, np.array([0, 1]), np.zeros((2, 3)))
-        expect = softmax_mpmath([2.0, 0.0])
-        assert np.max(np.abs(w - expect)) <= 1e-12
-
-    def test_zero_mass_selection_raises(self):
-        with pytest.raises(DegenerateSelectionError):
-            aggregate(np.array([0.0, 0.0, 1.0]), np.array([0, 1]), np.zeros((2, 2)))
+        cfg = SpartanConfig(d=2, num_parents=3, children_per_parent=1, top_k=2)
+        params = init_params(cfg, make_rng(0))
+        params.parents[...] = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        _, trace = traced(params, np.array([2.0, 0.0]))  # logits (2, 0, -2)
+        assert trace.selected.tolist() == [[0, 1]]
+        assert np.max(np.abs(trace.agg_weights[0] - softmax_mpmath([2.0, 0.0]))) <= 1e-12
+        p_sel = softmax_mpmath([2.0, 0.0, -2.0])[:2]
+        assert np.max(np.abs(trace.agg_weights[0] - p_sel / p_sel.sum())) <= 1e-12
 
 
 class TestForward:
     def test_zero_values_identity(self):
         params = init_params(SMALL, make_rng(10))
         x = make_rng(11).normal(size=8)
-        out, _ = forward_position(params, x)
-        assert np.array_equal(out, x)
+        out, _ = traced(params, x)
+        assert np.array_equal(out[0], x)
 
     def test_k_equals_n_matches_dense_reference(self):
         cfg = SpartanConfig(d=8, num_parents=4, children_per_parent=2, top_k=4)
         params, rng = random_params(cfg, 12)
-        for _ in range(50):
-            x = rng.normal(size=8)
-            out, _ = forward_position(params, x)
-            assert np.max(np.abs(out - dense_reference_forward(params, x))) <= 1e-12
+        x = rng.normal(size=(50, 8))
+        out, _ = forward_batch(params, x)
+        for t in range(50):
+            assert np.max(np.abs(out[t] - reference.dense_forward(params, x[t]))) <= 1e-12
 
     def test_trace_replay_reconstructs_output(self):
         cfg = SpartanConfig(d=768, num_parents=16, children_per_parent=3, top_k=8)
         params, rng = random_params(cfg, 13, value_scale=1.0 / 28.0)
         x = rng.normal(size=768)
-        out, trace = forward_position(params, x)
+        out, trace = traced(params, x)
         assert np.all(np.isfinite(out))
-        replay = trace.input + trace.agg_weights @ trace.child_outputs
-        assert np.max(np.abs(out - replay)) <= 1e-12
+        assert np.max(np.abs(out[0] - replay(params, trace, 0))) <= 1e-12
         assert abs(trace.parent_probs.sum() - 1.0) <= 1e-12
         assert abs(trace.agg_weights.sum() - 1.0) <= 1e-12
-        assert np.max(np.abs(trace.child_attn.sum(axis=1) - 1.0)) <= 1e-12
+        assert np.max(np.abs(child_attention(trace, 0, 3).sum(axis=1) - 1.0)) <= 1e-12
 
     def test_sparsity_is_lossy_versus_dense(self):
         # orthogonal value rows make the dropped parents visible
@@ -177,58 +189,55 @@ class TestForward:
         params, rng = random_params(cfg, 14)
         for i in range(4):
             params.child_values[i][0] = np.eye(4)[i] * 5.0
-        differs = 0
-        for _ in range(20):
-            x = rng.normal(size=4)
-            sparse, _ = forward_position(params, x)
-            dense = dense_reference_forward(params, x)
-            if np.max(np.abs(sparse - dense)) > 1e-6:
-                differs += 1
+        x = rng.normal(size=(20, 4))
+        sparse, _ = forward_batch(params, x)
+        differs = sum(np.max(np.abs(sparse[t] - reference.dense_forward(params, x[t]))) > 1e-6
+                      for t in range(20))
         assert differs > 0
 
     def test_forward_sequence_position_independence(self):
+        # a sequence is the rows of one forward_batch call
         params, rng = random_params(SMALL, 15)
         x = rng.normal(size=8)
-        outs, traces = forward_sequence(params, [x, x, x])
+        outs, _ = forward_batch(params, np.stack([x, x, x]))
         assert np.array_equal(outs[0], outs[1]) and np.array_equal(outs[1], outs[2])
-        assert len(traces) == 3
 
     def test_forward_sequence_permutation_equivariance(self):
         params, rng = random_params(SMALL, 16)
-        xs = [rng.normal(size=8) for _ in range(5)]
-        outs, _ = forward_sequence(params, xs)
+        xs = rng.normal(size=(5, 8))
+        outs, _ = forward_batch(params, xs)
         perm = [3, 0, 4, 1, 2]
-        outs_perm, _ = forward_sequence(params, [xs[i] for i in perm])
-        for j, i in enumerate(perm):
-            assert np.array_equal(outs_perm[j], outs[i])
+        outs_perm, _ = forward_batch(params, xs[perm])
+        assert np.array_equal(outs_perm, outs[perm])
 
     def test_single_position_sequence_matches_forward_position(self):
         params, rng = random_params(SMALL, 17)
         x = rng.normal(size=8)
-        outs, _ = forward_sequence(params, [x])
-        assert np.array_equal(outs[0], forward_position(params, x)[0])
+        out, trace = traced(params, x)
+        ref_out, ref_trace = reference.memory_forward(params, x)
+        assert np.max(np.abs(out[0] - ref_out)) <= 1e-12
+        assert trace.selected[0].tolist() == ref_trace.selected.tolist()
 
 
 class TestBackward:
     def test_zero_upstream_gives_zero_gradients(self):
         params, rng = random_params(SMALL, 20)
-        x = rng.normal(size=8)
-        _, trace = forward_position(params, x)
-        g = backward_position(params, trace, np.zeros(8))
+        _, trace = traced(params, rng.normal(size=8))
+        g = backward_batch(params, trace, np.zeros((1, 8)))
         assert np.all(g.parents == 0.0)
         assert np.all(g.child_keys == 0.0)
         assert np.all(g.child_values == 0.0)
         assert np.all(g.d_input == 0.0)
 
     def test_matches_central_finite_differences(self):
-        params, x = sample_spartan_instance(21, SMALL)
-        u = make_rng(22).normal(size=8)
-        _, trace = forward_position(params, x)
-        g = backward_position(params, trace, u)
+        params, x = sample_spartan_instance(21, SMALL, positions=1)
+        u = make_rng(22).normal(size=(1, 8))
+        _, trace = traced(params, x)
+        g = backward_batch(params, trace, u)
 
         def loss():
-            out, _ = forward_position(params, x)
-            return float(u @ out)
+            out, _ = forward_batch(params, x)
+            return float(np.sum(u * out))
 
         assert max_rel_err(g.parents, central_diff(loss, params.parents)) <= 1e-6
         assert max_rel_err(g.child_keys, central_diff(loss, params.child_keys)) <= 1e-6
@@ -237,23 +246,15 @@ class TestBackward:
 
     def test_non_selected_rows_exactly_zero(self):
         for seed in range(30, 50):
-            params, x = sample_spartan_instance(seed, SMALL)
-            _, trace = forward_position(params, x)
-            g = backward_position(params, trace, make_rng(seed + 1000).normal(size=8))
-            selected = set(trace.selected.tolist())
+            params, x = sample_spartan_instance(seed, SMALL, positions=1)
+            _, trace = traced(params, x)
+            g = backward_batch(params, trace, make_rng(seed + 1000).normal(size=(1, 8)))
+            selected = set(trace.selected[0].tolist())
             for i in range(SMALL.num_parents):
                 if i not in selected:
                     assert np.all(g.parents[i] == 0.0)
                     assert np.all(g.child_keys[i] == 0.0)
                     assert np.all(g.child_values[i] == 0.0)
-
-    def test_trace_params_mismatch_raises(self):
-        params, rng = random_params(SMALL, 23)
-        _, trace = forward_position(params, rng.normal(size=8))
-        other = init_params(SpartanConfig(d=8, num_parents=4, children_per_parent=3, top_k=2),
-                            make_rng(0))
-        with pytest.raises(ConsistencyError):
-            backward_position(other, trace, np.zeros(8))
 
 
 class TestProperties:
@@ -261,12 +262,11 @@ class TestProperties:
     @settings(max_examples=40, deadline=None)
     def test_convex_aggregation_weights(self, seed):
         params, rng = random_params(SMALL, seed)
-        x = rng.normal(size=8)
-        out, trace = forward_position(params, x)
+        out, trace = traced(params, rng.normal(size=(4, 8)))
         assert np.all(trace.agg_weights >= 0.0)
-        assert abs(trace.agg_weights.sum() - 1.0) <= 1e-12
-        replay = trace.input + trace.agg_weights @ trace.child_outputs
-        assert np.max(np.abs(out - replay)) <= 1e-12
+        assert np.max(np.abs(trace.agg_weights.sum(axis=1) - 1.0)) <= 1e-12
+        for t in range(4):
+            assert np.max(np.abs(out[t] - replay(params, trace, t))) <= 1e-12
 
     @given(st.integers(min_value=0, max_value=10_000),
            st.integers(min_value=2, max_value=32))
@@ -275,26 +275,24 @@ class TestProperties:
         k = max(1, n // 2)
         cfg = SpartanConfig(d=6, num_parents=n, children_per_parent=2, top_k=k)
         params, rng = random_params(cfg, seed)
-        x = rng.normal(size=6)
-        _, trace = forward_position(params, x)
-        p_sel = trace.parent_probs[trace.selected]
-        assert np.max(np.abs(trace.agg_weights - p_sel / p_sel.sum())) <= 1e-12
+        _, trace = traced(params, rng.normal(size=(3, 6)))
+        p_sel = np.take_along_axis(trace.parent_probs, trace.selected, axis=1)
+        assert np.max(np.abs(trace.agg_weights - p_sel / p_sel.sum(axis=1, keepdims=True))) <= 1e-12
 
     def test_parent_permutation_equivariance(self):
         rng = make_rng(60)
         for _ in range(20):
             params, _ = random_params(SMALL, int(rng.integers(1 << 30)))
             x = rng.normal(size=8)
-            _, trace = forward_position(params, x)
-            probs = np.sort(trace.parent_probs)[::-1]
+            out, trace = traced(params, x)
+            probs = np.sort(trace.parent_probs[0])[::-1]
             if probs[SMALL.top_k - 1] - probs[SMALL.top_k] < 1e-6:
                 continue  # permuting near a tie could flip the selection
             perm = rng.permutation(SMALL.num_parents)
             permuted = SpartanLayerParams(
                 SMALL, params.parents[perm].copy(),
                 params.child_keys[perm].copy(), params.child_values[perm].copy())
-            out, _ = forward_position(params, x)
-            out_perm, _ = forward_position(permuted, x)
+            out_perm, _ = traced(permuted, x)
             assert np.max(np.abs(out - out_perm)) <= 1e-12
 
     def test_child_level_macs_independent_of_parent_count(self):
@@ -317,7 +315,7 @@ class TestBatchedPath:
         x = rng.normal(size=(40, 24))
         out_batch, trace = forward_batch(params, x, collect_trace=True)
         for t in range(40):
-            out_t, tr = forward_position(params, x[t])
+            out_t, tr = reference.memory_forward(params, x[t])
             assert np.max(np.abs(out_batch[t] - out_t)) <= 1e-12
             assert trace.selected[t].tolist() == tr.selected.tolist()
 
@@ -332,8 +330,8 @@ class TestBatchedPath:
         ref_keys = np.zeros_like(params.child_keys)
         ref_values = np.zeros_like(params.child_values)
         for t in range(9):
-            _, tr = forward_position(params, x[t])
-            gt = backward_position(params, tr, d_out[t])
+            _, tr = reference.memory_forward(params, x[t])
+            gt = reference.memory_backward(params, tr, d_out[t])
             ref_parents += gt.parents
             ref_keys += gt.child_keys
             ref_values += gt.child_values
@@ -388,12 +386,12 @@ class TestBatchedPath:
         g = backward_batch(params, trace, d_out)
         ref_keys = np.zeros_like(params.child_keys)
         for pos in range(0, t, 37):
-            out_t, tr = forward_position(params, x[pos])
+            out_t, tr = reference.memory_forward(params, x[pos])
             assert np.max(np.abs(out[pos] - out_t)) <= 1e-12
             assert trace.selected[pos].tolist() == tr.selected.tolist()
         for pos in range(t):
-            _, tr = forward_position(params, x[pos])
-            gt = backward_position(params, tr, d_out[pos])
+            _, tr = reference.memory_forward(params, x[pos])
+            gt = reference.memory_backward(params, tr, d_out[pos])
             ref_keys += gt.child_keys
             assert np.max(np.abs(g.d_input[pos] - gt.d_input)) <= 1e-12
         assert np.max(np.abs(g.child_keys - ref_keys)) <= 1e-11

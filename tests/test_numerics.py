@@ -1,24 +1,19 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
+from spartan import memory
 from spartan.numerics import (
     ParameterError,
     ShapeError,
-    gelu,
     gelu_cached,
-    gelu_grad,
     gelu_grad_cached,
     layer_norm,
     make_rng,
-    matvec,
     sample_gaussian,
     softmax_rows,
-    softmax_stable,
-    topk_indices,
     topk_rows,
 )
 
@@ -41,6 +36,22 @@ def topk_bruteforce(p, k):
     return sorted(order)
 
 
+def softmax_stable(logits):
+    """softmax_rows on one row."""
+    return softmax_rows(np.asarray(logits)[None, :])[0]
+
+
+def topk_indices(p, k):
+    """topk_rows on one row."""
+    return topk_rows(np.asarray(p)[None, :], k)[0]
+
+
+def matvec(m, v):
+    """m @ v through the product the memory layer scores parents with
+    (`memory._serial_matmul`, positions as rows): one row, v, times m.T."""
+    return memory._serial_matmul(v[None, :], m.T)[0]
+
+
 class TestMatvec:
     def test_identity(self):
         assert np.array_equal(matvec(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
@@ -52,17 +63,18 @@ class TestMatvec:
         m = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
         assert np.array_equal(matvec(m, np.array([2.0, 0.0])), [2.0, 0.0, -2.0])
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matvec(np.zeros((2, 3)), np.zeros(4))
-
-    def test_matches_scalar_loop_oracle(self):
+    def test_matches_scalar_loop_oracle(self, monkeypatch):
+        # pieces of 64 multiply-adds: one row per piece, so the rows of the
+        # product below are computed piece by piece
+        monkeypatch.setattr(memory, "_SERIAL_PRODUCT_MACS", 64)
         rng = make_rng(5)
         for _ in range(10):
             m = rng.normal(size=(16, 16))
-            v = rng.normal(size=16)
-            expect = np.array([sum(m[i][j] * v[j] for j in range(16)) for i in range(16)])
-            assert np.max(np.abs(matvec(m, v) - expect)) <= 1e-12
+            vs = rng.normal(size=(3, 16))
+            got = memory._serial_matmul(vs, m.T)
+            for v, row in zip(vs, got):
+                expect = np.array([sum(m[i][j] * v[j] for j in range(16)) for i in range(16)])
+                assert np.max(np.abs(row - expect)) <= 1e-12
 
 
 class TestSoftmax:
@@ -111,7 +123,7 @@ class TestSoftmax:
             x = rng.normal(size=(7, width))
             rows = softmax_rows(x.copy())
             for i in range(7):
-                assert np.max(np.abs(rows[i] - softmax_stable(x[i]))) <= 1e-15
+                assert np.max(np.abs(rows[i] - reference.softmax_stable(x[i]))) <= 1e-15
 
 
 class TestTopK:
@@ -149,7 +161,7 @@ class TestTopK:
         x = rng.normal(size=(20, 9))
         rows = topk_rows(x, 4)
         for i in range(20):
-            assert rows[i].tolist() == topk_indices(x[i], 4).tolist()
+            assert rows[i].tolist() == reference.topk_indices(x[i], 4).tolist()
 
     @pytest.mark.parametrize("k", [1, 3, 5, 9])
     def test_rows_variant_matches_vector_form_on_ties(self, k):
@@ -162,7 +174,7 @@ class TestTopK:
         x[6, 2] = np.nan
         rows = topk_rows(x, k)
         for i in range(len(x)):
-            assert rows[i].tolist() == topk_indices(x[i], k).tolist(), i
+            assert rows[i].tolist() == reference.topk_indices(x[i], k).tolist(), i
 
 
 class TestRng:
@@ -188,19 +200,20 @@ class TestRng:
 
 class TestNeuralOps:
     def test_gelu_grad_at_zero_is_half(self):
-        assert gelu_grad(np.array([0.0]))[0] == pytest.approx(0.5, abs=1e-15)
+        x = np.array([0.0])
+        assert gelu_grad_cached(x, gelu_cached(x)[1])[0] == pytest.approx(0.5, abs=1e-15)
 
     def test_gelu_cached_matches_plain(self):
         x = make_rng(3).normal(size=40)
         y, cdf = gelu_cached(x)
-        assert np.allclose(y, gelu(x), atol=1e-15)
-        assert np.allclose(gelu_grad_cached(x, cdf), gelu_grad(x), atol=1e-15)
+        assert np.allclose(y, reference.gelu(x), atol=1e-15)
+        assert np.allclose(gelu_grad_cached(x, cdf), reference.gelu_grad(x), atol=1e-15)
 
     def test_gelu_grad_matches_finite_differences(self):
         x = make_rng(4).normal(size=20)
         h = 1e-6
-        fd = (gelu(x + h) - gelu(x - h)) / (2 * h)
-        assert np.max(np.abs(gelu_grad(x) - fd)) <= 1e-8
+        fd = (gelu_cached(x + h)[0] - gelu_cached(x - h)[0]) / (2 * h)
+        assert np.max(np.abs(gelu_grad_cached(x, gelu_cached(x)[1]) - fd)) <= 1e-8
 
     def test_layer_norm_normalizes(self):
         x = make_rng(5).normal(size=(6, 32)) * 3 + 1

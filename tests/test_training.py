@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 
+import reference
+from spartan import training as training_mod
 from spartan.backbone import BackboneConfig, Model, init_backbone, iter_named_tensors, make_plugin, tokenize
 from spartan.data import SyntheticTopicTask, generate_topic_dataset
 from spartan.memory import SpartanConfig
@@ -13,7 +15,6 @@ from spartan.training import (
     TrainConfig,
     adam_step,
     compute_batch_gradients,
-    cross_entropy,
     cross_entropy_batch,
     evaluate,
     init_optimizer,
@@ -47,6 +48,12 @@ def model_checksums(model, only_frozen=True):
     return out
 
 
+def cross_entropy(logits, label):
+    """cross_entropy_batch on one row: (loss, d_logits)."""
+    losses, d = cross_entropy_batch(np.asarray(logits)[None, :], np.array([label]))
+    return losses[0], d[0]
+
+
 class TestCrossEntropy:
     def test_uniform_logits_give_log_label_count(self):
         loss, _ = cross_entropy(np.zeros(4), 2)
@@ -76,7 +83,7 @@ class TestCrossEntropy:
         labels = rng.integers(0, 4, size=6)
         losses, grads = cross_entropy_batch(logits, labels)
         for i in range(6):
-            l, g = cross_entropy(logits[i], labels[i])
+            l, g = reference.cross_entropy(logits[i], labels[i])
             assert abs(losses[i] - l) <= 1e-12
             assert np.max(np.abs(grads[i] - g)) <= 1e-12
 
@@ -178,6 +185,26 @@ class TestTrainLoop:
         data = generate_topic_dataset(small_task(per_topic=10), make_rng(19))
         with pytest.raises(NumericalError, match=r"step 0"):
             train(model, data, TrainConfig(steps=5, batch_size=4))
+
+    def test_nonfinite_gradient_aborts_before_update(self, monkeypatch):
+        # a finite loss with a NaN gradient must stop the run before adam_step
+        compute, adam = training_mod.compute_batch_gradients, training_mod.adam_step
+        steps, updates = [], []
+
+        def poisoned(model, token_lists, labels):
+            loss, grads = compute(model, token_lists, labels)
+            if len(steps) == 2:
+                grads["plugin.layer1.child_values"][0, 0, 0] = np.nan
+            steps.append(loss)
+            return loss, grads
+
+        monkeypatch.setattr(training_mod, "compute_batch_gradients", poisoned)
+        monkeypatch.setattr(training_mod, "adam_step", lambda *args: updates.append(adam(*args)))
+        model = make_model(18)
+        data = generate_topic_dataset(small_task(per_topic=10), make_rng(19))
+        with pytest.raises(NumericalError, match=r"plugin\.layer1\.child_values at step 2"):
+            train(model, data, TrainConfig(steps=5, batch_size=4))
+        assert np.isfinite(steps).all() and len(updates) == 2
 
     def test_loss_window_means_non_increasing(self):
         # 50-step disjoint window means over the first 500 steps, seed-fixed
