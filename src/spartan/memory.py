@@ -14,9 +14,11 @@ gradients w.r.t. non-selected parents exactly zero, not merely small.
 
 There is one implementation, over a block of positions: `forward_batch`
 groups positions by which parents of a small block of parents they selected,
-so the child work runs as dense products over exactly the selected children,
-and `backward_batch` is its exact gradient. The tests compare both against
-an independent per-position reference and against finite differences.
+so the child work runs as dense products over exactly the selected children.
+`backward_batch`, its exact gradient, reuses those groups, and takes the
+parent gradient as two dense products through a (T, N) matrix that is zero
+off the selected parents. The tests compare both against an independent
+per-position reference and against finite differences.
 """
 
 from __future__ import annotations
@@ -95,18 +97,18 @@ class BatchTrace:
     """What backward_batch needs from a forward_batch over (T, d) positions.
 
     Per position: the parent softmax, the selected parents (ascending) and
-    their renormalized weights. Per selected parent, one group: the positions
-    that chose it (ascending), the slot k it holds there, and the child
-    attention of each. Child value outputs are not stored; the backward pass
-    recomputes them from the cached attentions, which keeps trace memory at
-    O(T*K*c) instead of O(T*K*d).
+    their renormalized weights. Per nonempty (block, pattern) group of the
+    forward, views of its arrays: the child rows of the pattern's parents,
+    the group's positions (ascending), its pair indices t*K + k in group
+    order, and their child attention. Child value outputs are not stored,
+    which keeps trace memory at O(T*K*c) instead of O(T*K*d).
     """
 
     x: np.ndarray              # (T, d)
     parent_probs: np.ndarray   # (T, N)
     selected: np.ndarray       # (T, K)
     agg_weights: np.ndarray    # (T, K)
-    groups: list               # (parent index, t_idx, k_idx, attn (G, c)) per nonempty parent
+    groups: list               # (cols, pos, pair, attn (len(pair), c)) per nonempty group
     output: np.ndarray         # (T, d)
 
 
@@ -246,7 +248,7 @@ def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter
     key_rows = params.child_keys.reshape(n * c, d)
     value_rows = params.child_values.reshape(n * c, d)
     # each group's products go in row chunks small enough for one BLAS thread
-    chunks, edges = [], bounds.tolist()
+    chunks, groups, edges = [], [], bounds.tolist()
     for g, cols in enumerate(children):
         lo, hi = edges[g], edges[g + 1]
         if cols is None or lo == hi:
@@ -254,6 +256,7 @@ def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter
         keys_t, values = key_rows[cols].T, value_rows[cols]
         step = max(1, _SERIAL_PRODUCT_MACS // (d * len(values)))
         chunks += [(a, min(a + step, hi), keys_t, values) for a in range(lo, hi, step)]
+        groups.append((cols, lo, hi))
     longest = max((z - a for a, z, _, _ in chunks), default=0)
     rows = np.empty((longest, d), dtype=x.dtype)
     key_logits = np.empty((t * K, c), dtype=dtype)
@@ -277,48 +280,53 @@ def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter
         counter.add("child_values", value_macs)
     if not collect_trace:
         return out, None
-    by_parent = np.argsort(flat.astype(_sort_key_dtype(n)), kind="stable")   # parent, then t
-    attn_pairs = np.empty_like(attn)
-    attn_pairs[pair] = attn
-    attn = attn_pairs[by_parent]
-    t_idx, k_idx = np.divmod(by_parent, K)
-    ends = np.cumsum(np.bincount(flat, minlength=n)).tolist()
-    groups = [(i, t_idx[a:e], k_idx[a:e], attn[a:e])
-              for i, (a, e) in enumerate(zip([0] + ends, ends)) if a < e]
+    groups = [(cols, pos[lo:hi], pair[first[lo]:first[hi]], attn[first[lo]:first[hi]])
+              for cols, lo, hi in groups]
     return out, BatchTrace(x=x, parent_probs=probs, selected=selected,
                            agg_weights=w, groups=groups, output=out)
 
 
 def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndarray) -> SpartanGradients:
     """Batched backward; parameter gradients are summed over positions and
-    d_input is the full (T, d) activation gradient."""
+    d_input is the full (T, d) activation gradient. It reuses the forward's
+    groups and row chunks: D = d_out_g @ V_cols.T gives every u[t, k] =
+    d_out[t] . v[t, k] and child attention gradient, and the parent gradient
+    goes through a dense (T, N) dL, zero off the selected parents."""
     cfg = params.cfg
-    t = trace.x.shape[0]
+    n, c, d = cfg.num_parents, cfg.children_per_parent, cfg.d
     if d_out.shape != trace.x.shape:
         raise ShapeError(f"d_out shape {d_out.shape} != {trace.x.shape}")
-
-    x, w, sel = trace.x, trace.agg_weights, trace.selected
-    d_x = d_out.copy()
-    g_parents = np.zeros_like(params.parents)
-    g_keys = np.zeros_like(params.child_keys)
-    g_values = np.zeros_like(params.child_values)
-
-    # u[t, k] = d_out[t] . v[t, k], recomputing v group-wise from cached attention
-    u = np.zeros((t, cfg.top_k), dtype=x.dtype)
-    for i, t_idx, k_idx, attn in trace.groups:
-        v = attn @ params.child_values[i]
-        u[t_idx, k_idx] = np.einsum("gd,gd->g", v, d_out[t_idx])
-    d_logits_sel = w * (u - (u * w).sum(axis=1, keepdims=True))
-
-    for i, t_idx, k_idx, attn in trace.groups:
-        xg = x[t_idx]
-        dl = d_logits_sel[t_idx, k_idx]
-        g_parents[i] = dl @ xg
-        d_x[t_idx] += np.outer(dl, params.parents[i])
-        d_v = w[t_idx, k_idx][:, None] * d_out[t_idx]       # (G, d)
-        g_values[i] = attn.T @ d_v
-        d_attn = d_v @ params.child_values[i].T             # (G, c)
-        d_klog = attn * (d_attn - (d_attn * attn).sum(axis=1, keepdims=True))
-        g_keys[i] = d_klog.T @ xg
-        d_x[t_idx] += d_klog @ params.child_keys[i]
+    x, w, t = trace.x, trace.agg_weights, trace.x.shape[0]
+    key_rows, value_rows = params.child_keys.reshape(n * c, d), params.child_values.reshape(n * c, d)
+    g_keys, g_values = np.zeros_like(params.child_keys), np.zeros_like(params.child_values)
+    gk, gv = g_keys.reshape(n * c, d), g_values.reshape(n * c, d)
+    # every group's pair rows, in group order, and their row chunks
+    pair = np.concatenate([np.empty(0, np.intp)] + [g[2] for g in trace.groups])
+    attn = np.concatenate([np.empty((0, c), w.dtype)] + [g[3] for g in trace.groups])
+    chunks, o = [], 0
+    for cols, pos, grp_pair, _ in trace.groups:
+        m = len(grp_pair) // len(pos)
+        step = max(1, _SERIAL_PRODUCT_MACS // (d * m * c))
+        chunks += [(cols, pos[a:a + step], slice(o + a * m, o + min(a + step, len(pos)) * m))
+                   for a in range(0, len(pos), step)]
+        o += len(grp_pair)
+    coef = attn * w.ravel()[pair][:, None]
+    d_attn = np.empty_like(coef)                       # D, a row per pair
+    for cols, pos, s in chunks:
+        dg = d_out[pos]
+        np.matmul(dg, value_rows[cols].T, out=d_attn[s].reshape(len(pos), -1))
+        gv[cols] += coef[s].reshape(len(pos), -1).T @ dg
+    u_pairs = np.einsum("ic,ic->i", attn, d_attn)
+    d_klog = coef * (d_attn - u_pairs[:, None])        # child key logit gradient
+    u = np.empty_like(w, dtype=u_pairs.dtype)
+    u.flat[pair] = u_pairs
+    d_logits = np.zeros((t, n), dtype=u.dtype)
+    np.put_along_axis(d_logits, trace.selected, w * (u - (u * w).sum(axis=1, keepdims=True)), 1)
+    d_x = _serial_matmul(d_logits, params.parents)
+    d_x += d_out
+    g_parents = np.ascontiguousarray(_serial_matmul(x.T, d_logits).T)
+    for cols, pos, s in chunks:
+        dk = d_klog[s].reshape(len(pos), -1)
+        gk[cols] += dk.T @ x[pos]
+        d_x[pos] += dk @ key_rows[cols]
     return SpartanGradients(g_parents, g_keys, g_values, d_x)

@@ -19,6 +19,8 @@ from .backbone import Model, classify_backward, classify_forward, iter_named_ten
 from .data import Example
 from .numerics import ParameterError, check_counts, make_rng
 
+EVAL_POSITIONS = 512  # per forward in evaluate (one sequence at least): bounds its activations
+
 
 class NumericalError(RuntimeError):
     """Raised when training produces a non-finite loss or gradient, or a model
@@ -70,25 +72,22 @@ def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
     p = e / se
     rows = np.arange(logits.shape[0])
     losses = -(z[rows, labels] - np.log(se[:, 0]))
-    d = p.copy()
-    d[rows, labels] -= 1.0
-    return losses, d
+    p[rows, labels] -= 1.0
+    return losses, p
 
 
 def init_optimizer(model: Model) -> OptimizerState:
-    m, v = {}, {}
-    for name, arr, trainable in iter_named_tensors(model):
-        if trainable:
-            m[name] = np.zeros_like(arr)
-            v[name] = np.zeros_like(arr)
-    return OptimizerState(m=m, v=v)
+    trainable = {name: arr for name, arr, t in iter_named_tensors(model) if t}
+    return OptimizerState(m={k: np.zeros_like(a) for k, a in trainable.items()},
+                          v={k: np.zeros_like(a) for k, a in trainable.items()})
 
 
 def adam_step(state: OptimizerState, model: Model, grads: dict[str, np.ndarray],
               cfg: TrainConfig) -> None:
     """Bias-corrected adaptive-moment update, in place, trainable tensors only.
 
-    Weight decay, when nonzero, is decoupled from the moment estimates.
+    Weight decay, when nonzero, is decoupled from the moment estimates. A
+    non-finite moment or parameter raises NumericalError (step is 0-based).
     """
     state.step += 1
     t = state.step
@@ -102,14 +101,17 @@ def adam_step(state: OptimizerState, model: Model, grads: dict[str, np.ndarray],
             raise ParameterError(f"gradient shape mismatch for {name}: {g.shape} != {arr.shape}")
         m = state.m[name]
         v = state.v[name]
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        update = (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
-        if cfg.weight_decay:
-            update = update + cfg.weight_decay * arr
-        arr -= cfg.learning_rate * update
+        with np.errstate(all="ignore"):  # an overflow is reported by the check below
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+            if cfg.weight_decay:
+                update = update + cfg.weight_decay * arr
+            arr -= cfg.learning_rate * update
+        if not (np.isfinite(m).all() and np.isfinite(v).all() and np.isfinite(arr).all()):
+            raise NumericalError(f"non-finite Adam moment or update for {name} at step {t - 1}")
 
 
 def _group_by_length(token_lists: list[np.ndarray]):
@@ -192,10 +194,12 @@ def evaluate(model: Model, dataset: list[Example]) -> float:
     token_lists = [tokenize(ex.text, model.cfg) for ex in dataset]
     labels = np.asarray([ex.label for ex in dataset])
     preds = np.empty(len(dataset), dtype=np.int64)
-    for idx in _group_by_length(token_lists):
-        ids = np.stack([token_lists[i] for i in idx])
-        logits, _ = classify_forward(model, ids, collect=False)
-        preds[idx] = np.argmax(logits, axis=1)
+    for group in _group_by_length(token_lists):
+        rows = max(1, EVAL_POSITIONS // len(token_lists[group[0]]))
+        for idx in np.split(group, range(rows, len(group), rows)):
+            ids = np.stack([token_lists[i] for i in idx])
+            logits, _ = classify_forward(model, ids, collect=False)
+            preds[idx] = np.argmax(logits, axis=1)
     return float(np.mean(preds == labels))
 
 

@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -197,6 +201,24 @@ class TestTrainCommand:
                      "--out", str(tmp / "x.json")])
         assert code == 3
         _assert_one_line_error(capsys, "numerical failure", "head.bias", "step 0")
+        assert not (tmp / "x.json").exists()
+
+    def test_optimizer_overflow_exits_3_with_one_line(self, workdir):
+        # a subprocess, because pytest captures the numpy warnings this must not print
+        tmp, config, data = workdir
+        cfg = json.loads(config.read_text())
+        cfg["train"]["learning_rate"] = 1e300
+        config.write_text(json.dumps(cfg))
+        run = subprocess.run(
+            [sys.executable, "-m", "spartan.cli", "train", "--config", str(config),
+             "--data", str(data), "--out", str(tmp / "x.json")],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert run.returncode == 3, run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1, run.stderr
+        assert re.fullmatch(r"numerical failure: non-finite Adam moment or update "
+                            r"for [\w.]+ at step \d+", lines[0]), lines[0]
         assert not (tmp / "x.json").exists()
 
 

@@ -32,9 +32,10 @@ def traced(params, x):
 
 def child_attention(trace, t, c):
     """Child attention (K, c) of position t, one row per selected parent in
-    trace.selected[t] order, gathered from the trace's per-parent groups."""
+    trace.selected[t] order, gathered from the trace's (block, pattern) groups."""
     attn = np.full((trace.selected.shape[1], c), np.nan)
-    for _, t_idx, k_idx, a in trace.groups:
+    for _, _, pair, a in trace.groups:
+        t_idx, k_idx = np.divmod(pair, trace.selected.shape[1])
         hit = t_idx == t
         attn[k_idx[hit]] = a[hit]
     return attn
@@ -353,6 +354,25 @@ class TestBatchedPath:
                 assert np.all(g.child_keys[i] == 0.0)
                 assert np.all(g.child_values[i] == 0.0)
 
+    def test_never_selected_parents_get_bitwise_zero_batch_grads_in_blocks(self):
+        # parents 5 and 6 point away from every input, so they are never
+        # selected, while 4 and 7 of the same block are
+        cfg = SpartanConfig(d=10, num_parents=8, children_per_parent=2, top_k=2)
+        t = 512
+        assert _block_size(cfg.num_parents, t) == 4
+        params, rng = random_params(cfg, 83)
+        params.parents[[5, 6]] = 0.0
+        params.parents[[5, 6], 0] = -10.0
+        x = rng.normal(size=(t, 10))
+        x[:, 0] = np.abs(x[:, 0]) + 1.0
+        _, trace = forward_batch(params, x, collect_trace=True)
+        g = backward_batch(params, trace, rng.normal(size=(t, 10)))
+        assert set(np.unique(trace.selected).tolist()) == {0, 1, 2, 3, 4, 7}
+        for i in (5, 6):
+            assert np.all(g.parents[i] == 0.0)
+            assert np.all(g.child_keys[i] == 0.0)
+            assert np.all(g.child_values[i] == 0.0)
+
     @pytest.mark.parametrize("t, block", [(6, 1), (240, 4)])
     def test_backward_batch_matches_central_finite_differences(self, t, block):
         # criterion 01's bound on the production path, one parent per block
@@ -384,7 +404,9 @@ class TestBatchedPath:
         out, trace = forward_batch(params, x, counter=counter, collect_trace=True)
         assert counter.total == t * (n * 6 + 2 * k * 3 * 6)
         g = backward_batch(params, trace, d_out)
+        ref_parents = np.zeros_like(params.parents)
         ref_keys = np.zeros_like(params.child_keys)
+        ref_values = np.zeros_like(params.child_values)
         for pos in range(0, t, 37):
             out_t, tr = reference.memory_forward(params, x[pos])
             assert np.max(np.abs(out[pos] - out_t)) <= 1e-12
@@ -392,11 +414,27 @@ class TestBatchedPath:
         for pos in range(t):
             _, tr = reference.memory_forward(params, x[pos])
             gt = reference.memory_backward(params, tr, d_out[pos])
+            ref_parents += gt.parents
             ref_keys += gt.child_keys
+            ref_values += gt.child_values
             assert np.max(np.abs(g.d_input[pos] - gt.d_input)) <= 1e-12
+        assert np.max(np.abs(g.parents - ref_parents)) <= 1e-11
         assert np.max(np.abs(g.child_keys - ref_keys)) <= 1e-11
-        # one trace group per selected parent, positions ascending, slots consistent
-        for i, t_idx, k_idx, attn in trace.groups:
-            assert (np.diff(t_idx) > 0).all()
-            assert (trace.selected[t_idx, k_idx] == i).all()
-            assert attn.shape == (len(t_idx), 3)
+        assert np.max(np.abs(g.child_values - ref_values)) <= 1e-11
+        # one trace group per nonempty (block, pattern): each (position,
+        # selected parent) pair in exactly one group, positions ascending, and
+        # the group's child rows are those of exactly the parents each of its
+        # positions selected in that block
+        b = _block_size(n, t)
+        for cols, pos, pair, attn in trace.groups:
+            parents = np.unique(np.arange(n * 3)[cols] // 3)
+            assert (parents // b == parents[0] // b).all()
+            assert (np.diff(pos) > 0).all()
+            assert (pair // k == np.repeat(pos, len(parents))).all()
+            chosen = trace.selected.ravel()[pair].reshape(len(pos), -1)
+            assert (chosen == parents).all()
+            in_block = trace.selected[pos] // b == parents[0] // b
+            assert (in_block.sum(axis=1) == len(parents)).all()
+            assert attn.shape == (len(pair), 3)
+        pairs = np.concatenate([pair for _, _, pair, _ in trace.groups])
+        assert np.array_equal(np.sort(pairs), np.arange(t * k))

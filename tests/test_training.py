@@ -244,6 +244,25 @@ class TestEvaluate:
         data = generate_topic_dataset(small_task(per_topic=10), make_rng(27))
         assert evaluate(model, data) == evaluate(model, data)
 
+    @pytest.mark.parametrize("max_positions", [1, 40])
+    def test_forwards_stay_within_eval_positions(self, monkeypatch, max_positions):
+        model = make_model(28)
+        data = generate_topic_dataset(small_task(per_topic=10), make_rng(29))
+        train(model, data, TrainConfig(steps=20, batch_size=8, seed=30, learning_rate=1e-2))
+        monkeypatch.setattr(training_mod, "EVAL_POSITIONS", 10**9)
+        whole = evaluate(model, data)
+        shapes, forward = [], training_mod.classify_forward
+
+        def spy(model, ids, **kwargs):
+            shapes.append(ids.shape)
+            return forward(model, ids, **kwargs)
+
+        monkeypatch.setattr(training_mod, "classify_forward", spy)
+        monkeypatch.setattr(training_mod, "EVAL_POSITIONS", max_positions)
+        assert evaluate(model, data) == whole
+        assert sum(b for b, _ in shapes) == len(data)
+        assert all(b * s <= max_positions or b == 1 for b, s in shapes)
+
 
 class TestMetricsCsv:
     def test_writes_step_loss_and_optional_accuracy(self, tmp_path):
