@@ -42,7 +42,10 @@ class SpecializationStats:
 def resolve_layer(model: Model, layer) -> int:
     if layer == "last":
         return model.cfg.layers - 1
-    idx = int(layer)
+    try:
+        idx = int(layer)
+    except ValueError:
+        raise ParameterError(f'layer must be an index or "last", got {layer!r}') from None
     if not 0 <= idx < model.cfg.layers:
         raise ParameterError(f"layer {idx} out of range [0, {model.cfg.layers})")
     return idx

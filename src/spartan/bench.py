@@ -6,21 +6,26 @@ single plugin layer in isolation. End-to-end numbers are dominated by the
 frozen backbone, so the layer-level contrast between architectures is read
 from micro mode.
 
-Thread budgets are enforced by capping the worker pool that batch items are
-split across; no cgroup or frequency emulation. Timing uses the monotonic
-clock. Wall-clock comparisons between architectures should interleave their
-measurement windows (see compare_throughput) because machine load drifts on
-shared hosts; a single pair of back-to-back runs is not trustworthy.
+Thread budgets cap the worker pool that batch items are split across, and
+BLAS runs one thread per worker while a bench measures; no cgroup or
+frequency emulation. Timing uses the monotonic clock. Wall-clock comparisons
+between architectures should interleave their measurement windows (see
+compare_throughput) because machine load drifts on shared hosts; a single
+pair of back-to-back runs is not trustworthy.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import glob
 import json
+import math
 import os
 import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -71,9 +76,10 @@ class BenchConfig:
         if self.architecture not in ARCHITECTURES:
             raise ParameterError(
                 f"architecture {self.architecture!r} not one of {ARCHITECTURES}")
-        check_counts(vars(self), threads=1, batch_size=1, seq_len=1)
-        if self.measure_seconds < 1:
-            raise ParameterError(f"measure_seconds must be >= 1, got {self.measure_seconds}")
+        check_counts(vars(self), threads=1, batch_size=1, seq_len=1, warmup_batches=0, seed=0)
+        if not (math.isfinite(self.measure_seconds) and self.measure_seconds >= 1):
+            raise ParameterError(
+                f"measure_seconds must be finite and >= 1, got {self.measure_seconds}")
         if self.precision not in ("f32", "f64"):
             raise ParameterError(f"precision must be f32 or f64, got {self.precision!r}")
 
@@ -101,13 +107,39 @@ def _blas_library() -> dict:
             if blas.get(key) is not None}
 
 
-def environment_fingerprint(cfg: BenchConfig) -> dict:
+@contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's bundled OpenBLAS on one thread and restore
+    the previous count after it; yields the count that ran, or "unpinned" if
+    numpy loaded no such library or it lacks the thread symbols."""
+    paths = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                   "libscipy_openblas64_*.so"))
+    try:
+        lib = ctypes.CDLL(paths[0], mode=os.RTLD_NOLOAD)  # the copy numpy runs, never another
+        get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (IndexError, OSError, AttributeError):
+        get = None
+    if get is None:
+        yield "unpinned"
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(1)
+    try:
+        yield get()
+    finally:
+        set_(before)
+
+
+def environment_fingerprint(cfg: BenchConfig, blas_threads) -> dict:
     """What the run executed on. Worker threads are the bench's own pool;
-    BLAS threads come from the environment (unset means the library default,
-    usually one per core)."""
+    blas_threads is the BLAS thread count that the measured window ran, or
+    "unpinned" (the library default, which blas_threads_env may set)."""
     return {
         "cores": os.cpu_count(),
         "worker_threads": cfg.threads,
+        "blas_threads": blas_threads,
         "precision": cfg.precision,
         "machine": platform.machine(),
         "python": platform.python_version(),
@@ -222,10 +254,11 @@ def _measure(cfg: BenchConfig, mode: str, parts: list, work, plugin_layers: int,
     one part and on the worker pool otherwise; finish(results), if given,
     turns the results into the step's output, else the first result is it.
     MACs per position divide the counter's total over every position run,
-    warmup included, and the step's plugin layers.
+    warmup included, and the step's plugin layers. BLAS runs one thread for
+    warmup and timing.
     """
     counter = MacCounter()
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
+    with _one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=len(parts)) as pool:
         def step():
             if len(parts) == 1:
                 results = [work(parts[0], counter)]
@@ -244,7 +277,7 @@ def _measure(cfg: BenchConfig, mode: str, parts: list, work, plugin_layers: int,
         elapsed_seconds=elapsed,
         mode=mode,
         config={**asdict(cfg), "mode": mode},
-        environment=environment_fingerprint(cfg),
+        environment=environment_fingerprint(cfg, blas_threads),
         output_dtype=out_dtype,
     )
 

@@ -217,8 +217,7 @@ def cmd_analyze(args) -> int:
     if not examples:
         raise DataError(f"no examples in {args.data}")
     _check_labels(examples, model.params.num_labels, args.data)
-    layer = args.layer if args.layer == "last" else int(args.layer)
-    records = analysis_mod.collect_selections(model, examples, layer)
+    records = analysis_mod.collect_selections(model, examples, args.layer)
     stats = analysis_mod.specialization_stats(records)
     analysis_mod.write_selection_csv(str(args.out) + ".csv", records)
     analysis_mod.write_summary_json(str(args.out) + ".json", stats)

@@ -23,6 +23,7 @@ per-position reference and against finite differences.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -158,34 +159,10 @@ def _pattern_children(n: int, b: int, c: int) -> tuple:
     return tuple(groups)
 
 
-# Multiply-adds per product piece. BLAS libraries hand larger products to
-# worker threads (OpenBLAS above 2^18), and for the memory layer's thin
-# products the hand-off costs more than it saves; on a loaded host it stalls
-# for milliseconds at a time. With OpenBLAS on two threads of a 2-core host,
-# two back-to-back 1.5 s windows of the d=256 micro bench differed by more
-# than 15 % in 4 of 24 pairs without the pieces and in 0 of 39 with them.
-_SERIAL_PRODUCT_MACS = 1 << 18
-
-
 def _sort_key_dtype(bound: int):
     """Smallest unsigned type for sort keys below `bound`; numpy radix-sorts
     8- and 16-bit keys."""
     return np.uint8 if bound <= 1 << 8 else np.uint16 if bound <= 1 << 16 else np.intp
-
-
-def _serial_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b in row chunks of at most _SERIAL_PRODUCT_MACS multiply-adds, so
-    BLAS runs each on the calling thread; one call when that would take more
-    than 64 chunks, since a product that large is worth BLAS's threads (cut
-    row by row, the N=256, d=768, T=1024 parent product took the forward from
-    21 to 38 ms)."""
-    out = np.empty((a.shape[0], b.shape[1]), dtype=np.result_type(a, b))
-    step = max(1, _SERIAL_PRODUCT_MACS // max(1, a.shape[1] * b.shape[1]))
-    if a.shape[0] > 64 * step:
-        return np.matmul(a, b, out=out)
-    for r in range(0, a.shape[0], step):
-        np.matmul(a[r:r + step], b, out=out[r:r + step])
-    return out
 
 
 def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter | None = None,
@@ -214,7 +191,7 @@ def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter
     dtype = np.result_type(x, params.parents, params.child_keys, params.child_values)
 
     out = x.astype(dtype, copy=True)
-    logits = _serial_matmul(x, params.parents.T)       # (T, N)
+    logits = x @ params.parents.T                      # (T, N)
     probs = softmax_rows(logits)
     selected = topk_rows(probs, K)                     # (T, K)
     w = softmax_rows(np.take_along_axis(logits, selected, axis=1))
@@ -247,33 +224,22 @@ def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter
     children = _pattern_children(n, b, c)
     key_rows = params.child_keys.reshape(n * c, d)
     value_rows = params.child_values.reshape(n * c, d)
-    # each group's products go in row chunks small enough for one BLAS thread
-    chunks, groups, edges = [], [], bounds.tolist()
-    for g, cols in enumerate(children):
-        lo, hi = edges[g], edges[g + 1]
-        if cols is None or lo == hi:
-            continue
-        keys_t, values = key_rows[cols].T, value_rows[cols]
-        step = max(1, _SERIAL_PRODUCT_MACS // (d * len(values)))
-        chunks += [(a, min(a + step, hi), keys_t, values) for a in range(lo, hi, step)]
-        groups.append((cols, lo, hi))
-    longest = max((z - a for a, z, _, _ in chunks), default=0)
-    rows = np.empty((longest, d), dtype=x.dtype)
+    edges, first = bounds.tolist(), first.tolist()  # plain ints index faster below
+    groups = [(cols, lo, hi) for cols, lo, hi in zip(children, edges, edges[1:])
+              if cols is not None and lo < hi]
     key_logits = np.empty((t * K, c), dtype=dtype)
-    first = first.tolist()  # plain ints index faster in the loops below
     key_macs = value_macs = 0
-    for a, z, keys_t, _ in chunks:
-        xg = x.take(pos[a:z], 0, rows[:z - a], "clip")
-        np.matmul(xg, keys_t, out=key_logits[first[a]:first[z]].reshape(z - a, -1))
-        key_macs += (z - a) * d * keys_t.shape[1]
+    for cols, lo, hi in groups:
+        keys = key_rows[cols]
+        np.matmul(x[pos[lo:hi]], keys.T, out=key_logits[first[lo]:first[hi]].reshape(hi - lo, -1))
+        key_macs += (hi - lo) * d * len(keys)
     attn = softmax_rows(key_logits)                    # (T*K, c), pair order
     coef = attn * w.ravel()[pair][:, None]
 
-    mixed = np.empty((longest, d), dtype=dtype)
-    for a, z, _, values in chunks:
-        out[pos[a:z]] += np.matmul(coef[first[a]:first[z]].reshape(z - a, -1), values,
-                                   out=mixed[:z - a])
-        value_macs += (z - a) * len(values) * d
+    for cols, lo, hi in groups:
+        values = value_rows[cols]
+        out[pos[lo:hi]] += coef[first[lo]:first[hi]].reshape(hi - lo, -1) @ values
+        value_macs += (hi - lo) * len(values) * d
     if counter is not None:
         counter.add("parent_scores", t * n * d)
         counter.add("child_keys", key_macs)
@@ -289,7 +255,7 @@ def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter
 def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndarray) -> SpartanGradients:
     """Batched backward; parameter gradients are summed over positions and
     d_input is the full (T, d) activation gradient. It reuses the forward's
-    groups and row chunks: D = d_out_g @ V_cols.T gives every u[t, k] =
+    groups: per group, D = d_out_g @ V_cols.T gives every u[t, k] =
     d_out[t] . v[t, k] and child attention gradient, and the parent gradient
     goes through a dense (T, N) dL, zero off the selected parents."""
     cfg = params.cfg
@@ -300,19 +266,14 @@ def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndar
     key_rows, value_rows = params.child_keys.reshape(n * c, d), params.child_values.reshape(n * c, d)
     g_keys, g_values = np.zeros_like(params.child_keys), np.zeros_like(params.child_values)
     gk, gv = g_keys.reshape(n * c, d), g_values.reshape(n * c, d)
-    # every group's pair rows, in group order, and their row chunks
+    # every group's pair rows, in group order, and each group's span of them
     pair = np.concatenate([np.empty(0, np.intp)] + [g[2] for g in trace.groups])
     attn = np.concatenate([np.empty((0, c), w.dtype)] + [g[3] for g in trace.groups])
-    chunks, o = [], 0
-    for cols, pos, grp_pair, _ in trace.groups:
-        m = len(grp_pair) // len(pos)
-        step = max(1, _SERIAL_PRODUCT_MACS // (d * m * c))
-        chunks += [(cols, pos[a:a + step], slice(o + a * m, o + min(a + step, len(pos)) * m))
-                   for a in range(0, len(pos), step)]
-        o += len(grp_pair)
+    ends = itertools.accumulate(len(g[2]) for g in trace.groups)
+    spans = [(cols, pos, slice(z - len(p), z)) for (cols, pos, p, _), z in zip(trace.groups, ends)]
     coef = attn * w.ravel()[pair][:, None]
     d_attn = np.empty_like(coef)                       # D, a row per pair
-    for cols, pos, s in chunks:
+    for cols, pos, s in spans:
         dg = d_out[pos]
         np.matmul(dg, value_rows[cols].T, out=d_attn[s].reshape(len(pos), -1))
         gv[cols] += coef[s].reshape(len(pos), -1).T @ dg
@@ -322,10 +283,10 @@ def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndar
     u.flat[pair] = u_pairs
     d_logits = np.zeros((t, n), dtype=u.dtype)
     np.put_along_axis(d_logits, trace.selected, w * (u - (u * w).sum(axis=1, keepdims=True)), 1)
-    d_x = _serial_matmul(d_logits, params.parents)
+    d_x = d_logits @ params.parents
     d_x += d_out
-    g_parents = np.ascontiguousarray(_serial_matmul(x.T, d_logits).T)
-    for cols, pos, s in chunks:
+    g_parents = d_logits.T @ x
+    for cols, pos, s in spans:
         dk = d_klog[s].reshape(len(pos), -1)
         gk[cols] += dk.T @ x[pos]
         d_x[pos] += dk @ key_rows[cols]

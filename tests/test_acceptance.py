@@ -221,11 +221,14 @@ def test_criterion_05_compute_sparsity_and_micro_throughput():
         medians = bench_mod.median_throughput(reports)
         elapsed = time.perf_counter() - start
         dtypes = {name: sorted({r.output_dtype for r in runs}) for name, runs in reports.items()}
+        blas_threads = {name: sorted({str(r.environment["blas_threads"]) for r in runs})
+                        for name, runs in reports.items()}
         env = reports["spartan"][0].environment
         print(f"\n    micro medians: spartan {medians['spartan']:.0f}, "
               f"adapter {medians['adapter']:.0f} instances/min "
               f"({medians['spartan'] / medians['adapter']:.2f}x); output dtypes {dtypes}; "
-              f"blas {env['blas']}; blas threads env {env['blas_threads_env']}; cores {env['cores']}")
+              f"blas {env['blas']}; blas threads {blas_threads}; "
+              f"blas threads env {env['blas_threads_env']}; cores {env['cores']}")
         # the comparison is a float32 one only if both arms ran in float32
         assert dtypes == {"spartan": ["float32"], "adapter": ["float32"]}, dtypes
         assert medians["spartan"] >= medians["adapter"], (

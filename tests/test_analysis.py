@@ -81,6 +81,8 @@ class TestCollectSelections:
         assert [r.argmax_parent for r in last] == [r.argmax_parent for r in explicit]
         with pytest.raises(ParameterError):
             collect_selections(model, data, layer=CFG.layers)
+        with pytest.raises(ParameterError, match="'abc'"):
+            collect_selections(model, data, layer="abc")
 
     def test_records_indexed_by_example(self):
         model = analysis_model(5)

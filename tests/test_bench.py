@@ -1,9 +1,13 @@
+import ctypes
+import glob
 import json
+import os
 import threading
 
 import numpy as np
 import pytest
 
+from spartan import bench
 from spartan.backbone import _plugin_forward
 from spartan.bench import (
     ARCHITECTURES,
@@ -164,6 +168,53 @@ class TestRunners:
         assert medians["none"] >= medians["adapter"] * 0.98
 
 
+@pytest.fixture
+def blas_threads():
+    """Reads the thread count of numpy's bundled OpenBLAS, looked up here
+    rather than through the bench. The count is 2 during the test, so that a
+    bench that pins one thread and does not restore it shows."""
+    paths = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                   "libscipy_openblas64_*.so"))
+    if not paths:
+        pytest.skip("this numpy bundles no OpenBLAS")
+    lib = ctypes.CDLL(paths[0], mode=os.RTLD_NOLOAD)
+    get, set_ = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    before = get()
+    set_(2)
+    yield get
+    set_(before)
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("runner", [run_micro_bench, run_inference_bench, run_finetune_bench])
+    def test_measured_window_runs_one_blas_thread(self, blas_threads, monkeypatch, runner,
+                                                  threads):
+        seen, measure = [], bench._measure
+
+        def spying_measure(cfg, mode, parts, work, *rest):
+            def spying_work(part, counter):
+                seen.append(blas_threads())
+                return work(part, counter)
+            return measure(cfg, mode, parts, spying_work, *rest)
+
+        monkeypatch.setattr(bench, "_measure", spying_measure)
+        before = blas_threads()
+        report = runner(BenchConfig(architecture="adapter", threads=threads,
+                                    **{**TINY, "layers": 1}))
+        assert seen and set(seen) == {1}
+        assert blas_threads() == before
+        assert report.environment["blas_threads"] == 1
+
+    def test_missing_thread_symbols_leave_blas_unpinned(self, monkeypatch):
+        monkeypatch.setattr(bench.ctypes, "CDLL", lambda *args, **kwargs: object())
+        report = run_micro_bench(BenchConfig(architecture="spartan", **TINY))
+        assert report.instances_per_minute > 0
+        assert report.environment["blas_threads"] == "unpinned"
+
+
 class TestReportedDtype:
     @pytest.mark.parametrize("runner, architecture, precision, dtype", [
         (run_micro_bench, "spartan", "f32", "float32"),
@@ -184,6 +235,12 @@ class TestValidation:
     def test_zero_measure_time_rejected(self):
         with pytest.raises(ParameterError):
             BenchConfig(measure_seconds=0)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_non_finite_measure_time_rejected(self, seconds):
+        # the timed loop would never end: elapsed >= nan is always false
+        with pytest.raises(ParameterError, match="measure_seconds"):
+            BenchConfig(measure_seconds=seconds)
 
     def test_unknown_architecture_lists_valid_values(self):
         with pytest.raises(ParameterError, match="spartan"):

@@ -268,6 +268,14 @@ class TestBenchCommand:
         err = capsys.readouterr().err
         assert "spartan" in err and "adapter" in err
 
+    @pytest.mark.parametrize("flag, word", [("--seed", "seed"), ("--warmup", "warmup_batches")])
+    def test_negative_count_exits_1_with_one_line(self, tmp_path, capsys, flag, word):
+        code = main(["bench", "--mode", "micro", "--batch", "2", "--seq-len", "4", "--d", "32",
+                     "--measure-seconds", "1", flag, "-1", "--out", str(tmp_path / "b")])
+        assert code == 1
+        _assert_one_line_error(capsys, "config error", word)
+        assert not (tmp_path / "b.json").exists()
+
     def test_micro_mode_writes_reports(self, tmp_path, capsys):
         prefix = tmp_path / "micro"
         code = main(["bench", "--arch", "spartan", "--mode", "micro", "--batch", "8",
@@ -347,6 +355,15 @@ class TestAnalyzeCommand:
         main(["train", "--config", str(config), "--data", str(data), "--out", str(out)])
         assert main(["analyze", "--model", str(out), "--data", str(data),
                      "--layer", "9", "--out", str(tmp / "x")]) == 1
+
+    def test_non_integer_layer_exits_1_with_one_line(self, workdir, capsys):
+        tmp, config, data = workdir
+        out = tmp / "model.json"
+        main(["train", "--config", str(config), "--data", str(data), "--out", str(out)])
+        capsys.readouterr()
+        assert main(["analyze", "--model", str(out), "--data", str(data),
+                     "--layer", "abc", "--out", str(tmp / "x")]) == 1
+        _assert_one_line_error(capsys, "config error", "'abc'")
 
 
 class TestParamsCommand:

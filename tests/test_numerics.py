@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from spartan import memory
+from spartan.memory import SpartanConfig, forward_batch, init_params
 from spartan.numerics import (
     ParameterError,
     ShapeError,
@@ -46,34 +46,20 @@ def topk_indices(p, k):
     return topk_rows(np.asarray(p)[None, :], k)[0]
 
 
-def matvec(m, v):
-    """m @ v through the product the memory layer scores parents with
-    (`memory._serial_matmul`, positions as rows): one row, v, times m.T."""
-    return memory._serial_matmul(v[None, :], m.T)[0]
-
-
 class TestMatvec:
-    def test_identity(self):
-        assert np.array_equal(matvec(np.eye(3), np.array([1.0, 2.0, 3.0])), [1.0, 2.0, 3.0])
-
-    def test_zero_matrix_annihilates(self):
-        assert np.array_equal(matvec(np.zeros((2, 3)), np.array([4.0, -1.0, 7.0])), [0.0, 0.0])
-
-    def test_hand_expansion(self):
-        m = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
-        assert np.array_equal(matvec(m, np.array([2.0, 0.0])), [2.0, 0.0, -2.0])
-
-    def test_matches_scalar_loop_oracle(self, monkeypatch):
-        # pieces of 64 multiply-adds: one row per piece, so the rows of the
-        # product below are computed piece by piece
-        monkeypatch.setattr(memory, "_SERIAL_PRODUCT_MACS", 64)
+    def test_matches_scalar_loop_oracle(self):
+        # the parent-scoring product: forward_batch's parent softmax against
+        # the softmax of scalar-loop logits, one row per position
         rng = make_rng(5)
         for _ in range(10):
-            m = rng.normal(size=(16, 16))
+            params = init_params(SpartanConfig(d=16, num_parents=16, children_per_parent=2,
+                                               top_k=4), rng)
+            m = params.parents = rng.normal(size=(16, 16))
             vs = rng.normal(size=(3, 16))
-            got = memory._serial_matmul(vs, m.T)
-            for v, row in zip(vs, got):
-                expect = np.array([sum(m[i][j] * v[j] for j in range(16)) for i in range(16)])
+            _, trace = forward_batch(params, vs, collect_trace=True)
+            for v, row in zip(vs, trace.parent_probs):
+                logits = [sum(m[i][j] * v[j] for j in range(16)) for i in range(16)]
+                expect = reference.softmax_stable(np.array(logits))
                 assert np.max(np.abs(row - expect)) <= 1e-12
 
 
