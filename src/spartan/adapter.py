@@ -7,6 +7,10 @@ carries exactly twice the parameters per layer. The trailing LayerNorm is
 deliberate: the sparse memory layer omits normalization, and the speed
 comparison between the two depends on that difference, so the baseline keeps
 its norm. The norm sits after the residual add.
+
+The six tensors, their shapes and how each starts are declared once, in
+`AdapterParams.shapes`; the backbone's schema walk draws fresh instances from
+it.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from .numerics import (
     gelu_grad_cached,
     layer_norm,
     layer_norm_backward,
-    sample_gaussian,
 )
 
 
@@ -49,10 +52,15 @@ class AdapterParams:
 
     @staticmethod
     def shapes(cfg: AdapterConfig) -> tuple:
-        """The tensor schema: (field, shape) in checkpoint order."""
+        """The tensor schema: (field, shape, init) in checkpoint order.
+
+        Down projection ~ N(0, 1/d); up projection zero, so the block starts
+        as a pure normalize(x) map; the norm starts at identity parameters.
+        """
         b, d = cfg.bottleneck, cfg.d
-        return (("down", (b, d)), ("down_bias", (b,)), ("up", (d, b)),
-                ("up_bias", (d,)), ("norm_gain", (d,)), ("norm_bias", (d,)))
+        return (("down", (b, d), 1.0 / np.sqrt(d)), ("down_bias", (b,), "zeros"),
+                ("up", (d, b), "zeros"), ("up_bias", (d,), "zeros"),
+                ("norm_gain", (d,), "ones"), ("norm_bias", (d,), "zeros"))
 
     def __post_init__(self):
         check_shapes(self, self.shapes(self.cfg))
@@ -65,7 +73,7 @@ class AdapterParams:
     def backward(self, trace: AdapterTrace, d_out: np.ndarray):
         """(d_input, {field: gradient}) for the schema's tensors."""
         g = adapter_backward(self, trace, d_out)
-        return g.d_input, {name: getattr(g, name) for name, _ in self.shapes(self.cfg)}
+        return g.d_input, {name: getattr(g, name) for name, _, _ in self.shapes(self.cfg)}
 
 
 @dataclass
@@ -75,22 +83,6 @@ class AdapterTrace:
     act_cdf: np.ndarray    # (T, b) Gaussian cdf cached by the gelu
     hidden: np.ndarray     # (T, b) gelu output
     ln_cache: tuple
-
-
-def init_adapter(cfg: AdapterConfig, rng: np.random.Generator) -> AdapterParams:
-    """Down projection ~ N(0, 1/d); up projection zero so the block starts as
-    a pure normalize(x) map; norm starts at identity parameters."""
-    b, d = cfg.bottleneck, cfg.d
-    down = sample_gaussian(rng, b * d, 1.0 / np.sqrt(d)).reshape(b, d)
-    return AdapterParams(
-        cfg,
-        down=down,
-        down_bias=np.zeros(b),
-        up=np.zeros((d, b)),
-        up_bias=np.zeros(d),
-        norm_gain=np.ones(d),
-        norm_bias=np.zeros(d),
-    )
 
 
 def adapter_forward(params: AdapterParams, x: np.ndarray, counter: MacCounter | None = None,

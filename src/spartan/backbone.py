@@ -7,12 +7,14 @@ initialized and frozen; only plugin parameters and the classification head
 train. The rest of this module is a manual reverse-mode pass through the stack
 that produces gradients for exactly those trainable tensors.
 
-`PLUGINS` gives each plugin kind its config and params types, its init
-function and its stack depth; a layer's plugin entry is a tuple of that many
-instances, each with `forward(x, counter, collect)`, `backward(trace, d_out)`
-and a `shapes(cfg)` schema. Every tensor group declares its (field, shape)
-pairs once; `tensor_slots` walks a model through those declarations, and
-checkpoint names, blank models, parameter counts and dtype casts follow it.
+`PLUGINS` gives each plugin kind its config and params types and its stack
+depth; a layer's plugin entry is a tuple of that many instances, each with
+`forward(x, counter, collect)`, `backward(trace, d_out)` and a `shapes(cfg)`
+schema. Every tensor group declares its (field, shape, init) entries once,
+init being a Gaussian standard deviation or a "zeros"/"ones" fill. Fresh and
+blank models are built by one schema walk that only changes how each group is
+filled; `tensor_slots` walks a built model through the same declarations, and
+checkpoint names, parameter counts and dtype casts follow it.
 
 Tokenization is hash-bucketed: lowercased word tokens map to ids via FNV-1a,
 so identical text always yields identical ids with no vocabulary files.
@@ -21,7 +23,6 @@ so identical text always yields identical ids with no vocabulary files.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +36,9 @@ from .numerics import (
     check_counts,
     gelu_cached,
     gelu_grad_cached,
+    init_tensors,
     layer_norm,
     layer_norm_backward,
-    sample_gaussian,
 )
 
 BOS_ID = 0
@@ -91,13 +92,16 @@ class LayerWeights:
 
     @staticmethod
     def shapes(cfg: BackboneConfig) -> tuple:
-        """The tensor schema: (field, shape) in checkpoint order."""
+        """The tensor schema: (field, shape, init) in checkpoint order.
+        Projections ~ N(0, 1/fan_in), biases zero, norms at identity."""
         d, f = cfg.d, cfg.ffn_dim
-        return (("wq", (d, d)), ("wk", (d, d)), ("wv", (d, d)), ("wo", (d, d)),
-                ("bq", (d,)), ("bk", (d,)), ("bv", (d,)), ("bo", (d,)),
-                ("ln1_gain", (d,)), ("ln1_bias", (d,)),
-                ("w1", (f, d)), ("b1", (f,)), ("w2", (d, f)), ("b2", (d,)),
-                ("ln2_gain", (d,)), ("ln2_bias", (d,)))
+        sd = 1.0 / np.sqrt(d)
+        return (("wq", (d, d), sd), ("wk", (d, d), sd), ("wv", (d, d), sd), ("wo", (d, d), sd),
+                ("bq", (d,), "zeros"), ("bk", (d,), "zeros"), ("bv", (d,), "zeros"),
+                ("bo", (d,), "zeros"), ("ln1_gain", (d,), "ones"), ("ln1_bias", (d,), "zeros"),
+                ("w1", (f, d), sd), ("b1", (f,), "zeros"),
+                ("w2", (d, f), 1.0 / np.sqrt(f)), ("b2", (d,), "zeros"),
+                ("ln2_gain", (d,), "ones"), ("ln2_bias", (d,), "zeros"))
 
 
 @dataclass
@@ -110,11 +114,13 @@ class BackboneParams:
 
     @staticmethod
     def embedding_shapes(cfg: BackboneConfig) -> tuple:
-        return (("token_emb", (cfg.vocab_hash_buckets, cfg.d)), ("pos_emb", (cfg.max_seq_len, cfg.d)))
+        return (("token_emb", (cfg.vocab_hash_buckets, cfg.d), 1.0),
+                ("pos_emb", (cfg.max_seq_len, cfg.d), 1.0))
 
     @staticmethod
     def head_shapes(cfg: BackboneConfig, num_labels: int) -> tuple:
-        return (("head_weight", (num_labels, cfg.d)), ("head_bias", (num_labels,)))
+        """The head starts at zero, so initial logits are uniform."""
+        return (("head_weight", (num_labels, cfg.d), "zeros"), ("head_bias", (num_labels,), "zeros"))
 
     @property
     def num_labels(self) -> int:
@@ -125,18 +131,14 @@ class BackboneParams:
 class PluginKind:
     config: type | None         # config dataclass, built with d= at least
     params: type | None         # params dataclass: shapes(cfg), forward, backward
-    init: Callable | None       # (config, rng) -> one fresh params instance
     depth: int                  # instances stacked per layer
 
 
 PLUGINS = {
-    "none": PluginKind(None, None, None, 0),
-    "spartan": PluginKind(memory_mod.SpartanConfig, memory_mod.SpartanLayerParams,
-                          memory_mod.init_params, 1),
-    "adapter": PluginKind(adapter_mod.AdapterConfig, adapter_mod.AdapterParams,
-                          adapter_mod.init_adapter, 1),
-    "adapterx2": PluginKind(adapter_mod.AdapterConfig, adapter_mod.AdapterParams,
-                            adapter_mod.init_adapter, 2),
+    "none": PluginKind(None, None, 0),
+    "spartan": PluginKind(memory_mod.SpartanConfig, memory_mod.SpartanLayerParams, 1),
+    "adapter": PluginKind(adapter_mod.AdapterConfig, adapter_mod.AdapterParams, 1),
+    "adapterx2": PluginKind(adapter_mod.AdapterConfig, adapter_mod.AdapterParams, 2),
 }
 
 
@@ -195,50 +197,42 @@ def tokenize(text: str, cfg: BackboneConfig) -> np.ndarray:
     return np.asarray(ids[: cfg.max_seq_len], dtype=np.int64)
 
 
+def _backbone_params(cfg: BackboneConfig, num_labels: int, fill) -> BackboneParams:
+    """The backbone's schema walk: each group's tensors are fill(schema),
+    embeddings first, then the layers in order, then the head."""
+    check_counts({"num_labels": num_labels}, num_labels=2)
+    return BackboneParams(**fill(BackboneParams.embedding_shapes(cfg)),
+                          layers=[LayerWeights(**fill(LayerWeights.shapes(cfg)))
+                                  for _ in range(cfg.layers)],
+                          **fill(BackboneParams.head_shapes(cfg, num_labels)))
+
+
+def _plugin_spec(kind: str, layers: int, plugin_cfg, fill) -> PluginSpec:
+    """The plugin's schema walk: each instance's tensors are fill(schema),
+    layer by layer and, within a layer, instance by instance."""
+    pk = plugin_kind(kind)
+    return PluginSpec(kind, [tuple(pk.params(plugin_cfg, **fill(pk.params.shapes(plugin_cfg)))
+                                   for _ in range(pk.depth))
+                             for _ in range(layers)])
+
+
 def init_backbone(cfg: BackboneConfig, num_labels: int, rng: np.random.Generator) -> BackboneParams:
-    """Random frozen weights; the head starts at zero so initial logits are uniform."""
-    if num_labels < 2:
-        raise ParameterError(f"num_labels must be >= 2, got {num_labels}")
-    d, f = cfg.d, cfg.ffn_dim
-    sd = 1.0 / np.sqrt(d)
-
-    def mat(rows, cols, std):
-        return sample_gaussian(rng, rows * cols, std).reshape(rows, cols)
-
-    token_emb = mat(cfg.vocab_hash_buckets, d, 1.0)
-    pos_emb = mat(cfg.max_seq_len, d, 1.0)
-    layers = []
-    for _ in range(cfg.layers):
-        layers.append(LayerWeights(
-            wq=mat(d, d, sd), wk=mat(d, d, sd), wv=mat(d, d, sd), wo=mat(d, d, sd),
-            bq=np.zeros(d), bk=np.zeros(d), bv=np.zeros(d), bo=np.zeros(d),
-            ln1_gain=np.ones(d), ln1_bias=np.zeros(d),
-            w1=mat(f, d, sd), b1=np.zeros(f),
-            w2=mat(d, f, 1.0 / np.sqrt(f)), b2=np.zeros(d),
-            ln2_gain=np.ones(d), ln2_bias=np.zeros(d),
-        ))
-    return BackboneParams(
-        token_emb=token_emb,
-        pos_emb=pos_emb,
-        layers=layers,
-        head_weight=np.zeros((num_labels, d)),
-        head_bias=np.zeros(num_labels),
-    )
+    """Random frozen weights, drawn from rng as the schema declares."""
+    return _backbone_params(cfg, num_labels, lambda schema: init_tensors(schema, rng))
 
 
 def make_plugin(kind: str, cfg: BackboneConfig, rng: np.random.Generator,
                 spartan_cfg: memory_mod.SpartanConfig | None = None,
                 adapter_cfg: adapter_mod.AdapterConfig | None = None) -> PluginSpec:
-    """Fresh per-layer plugin parameters for the given kind.
+    """Fresh per-layer plugin parameters for the given kind, drawn from rng
+    as the schema declares.
 
     The kind takes whichever of spartan_cfg/adapter_cfg has its config type,
     so a caller holding one config of either type may pass it first; with
     neither, the type's defaults at width cfg.d.
     """
-    pk = plugin_kind(kind)
     pcfg = plugin_config(kind, cfg.d, spartan_cfg, adapter_cfg)
-    return PluginSpec(kind, [tuple(pk.init(pcfg, rng) for _ in range(pk.depth))
-                             for _ in range(cfg.layers)])
+    return _plugin_spec(kind, cfg.layers, pcfg, lambda schema: init_tensors(schema, rng))
 
 
 def empty_model(cfg: BackboneConfig, num_labels: int, kind: str, plugin_cfg,
@@ -246,17 +240,10 @@ def empty_model(cfg: BackboneConfig, num_labels: int, kind: str, plugin_cfg,
     """A model whose every tensor is alloc(shape) from the schema: zeros to
     load a checkpoint into, or zero-stride views that only carry shapes."""
     def fill(schema):
-        return {name: alloc(shape) for name, shape in schema}
+        return {name: alloc(shape) for name, shape, _ in schema}
 
-    params = BackboneParams(layers=[LayerWeights(**fill(LayerWeights.shapes(cfg)))
-                                    for _ in range(cfg.layers)],
-                            **fill(BackboneParams.embedding_shapes(cfg)),
-                            **fill(BackboneParams.head_shapes(cfg, num_labels)))
-    pk = plugin_kind(kind)
-    stacks = [tuple(pk.params(plugin_cfg, **fill(pk.params.shapes(plugin_cfg)))
-                    for _ in range(pk.depth))
-              for _ in range(cfg.layers)]
-    return Model(cfg, params, PluginSpec(kind, stacks))
+    return Model(cfg, _backbone_params(cfg, num_labels, fill),
+                 _plugin_spec(kind, cfg.layers, plugin_cfg, fill))
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -437,7 +424,7 @@ def plugin_slots(plugin: PluginSpec):
     """(name, owner, field, trainable) for every plugin tensor, in checkpoint order."""
     for l, stack in enumerate(plugin.layers):
         for i, inst in enumerate(stack):
-            for fname, _ in inst.shapes(inst.cfg):
+            for fname, _, _ in inst.shapes(inst.cfg):
                 yield f"plugin.layer{l}.{_stack_tag(i, len(stack))}{fname}", inst, fname, True
 
 
@@ -446,12 +433,12 @@ def tensor_slots(model: Model):
     getattr(owner, field). The order is fixed so checkpoints and optimizer
     state are reproducible."""
     p, cfg = model.params, model.cfg
-    for fname, _ in p.embedding_shapes(cfg):
+    for fname, _, _ in p.embedding_shapes(cfg):
         yield f"backbone.{fname}", p, fname, False
     for l, lw in enumerate(p.layers):
-        for fname, _ in lw.shapes(cfg):
+        for fname, _, _ in lw.shapes(cfg):
             yield f"backbone.layer{l}.{fname}", lw, fname, False
-    for fname, _ in p.head_shapes(cfg, p.num_labels):
+    for fname, _, _ in p.head_shapes(cfg, p.num_labels):
         yield fname.replace("_", ".", 1), p, fname, True  # head_weight -> head.weight
     yield from plugin_slots(model.plugin)
 

@@ -189,19 +189,21 @@ def _plugin(cfg: BenchConfig):
 
 def build_plugin_spec(cfg: BenchConfig, layers: int, rng: np.random.Generator) -> PluginSpec:
     """Plugin parameters for `layers` instances at the bench shapes, randomized
-    (child values included; identity-at-init would undercount real work)."""
+    (zero-initialized matrices included; identity-at-init would undercount
+    real work)."""
     # heads=1: the throwaway config only sizes plugin tensors
     bb_cfg = BackboneConfig(d=cfg.d, layers=layers, heads=1, ffn_dim=cfg.ffn_dim,
                             vocab_hash_buckets=cfg.vocab_hash_buckets,
                             max_seq_len=max(cfg.seq_len, 2))
     kind, plugin_cfg = _plugin(cfg)
     spec = make_plugin(kind, bb_cfg, rng, plugin_cfg)
-    # tensors that init leaves at zero, drawn here so that every plugin does real work
-    start_std = {"child_values": 1.0 / np.sqrt(cfg.d), "up": 1.0 / np.sqrt(cfg.bottleneck)}
-    for _, inst, fname, _ in plugin_slots(spec):
-        if fname in start_std:
-            arr = getattr(inst, fname)
-            arr[...] = rng.normal(0.0, start_std[fname], arr.shape)
+    # matrices that init leaves at zero, drawn here so that every plugin does
+    # real work, at N(0, 1/fan_in)
+    for stack in spec.layers:
+        for inst in stack:
+            for fname, shape, init in inst.shapes(inst.cfg):
+                if init == "zeros" and len(shape) > 1:
+                    getattr(inst, fname)[...] = rng.normal(0.0, 1.0 / np.sqrt(shape[-1]), shape)
     _cast(plugin_slots(spec), _dtype(cfg))
     return spec
 

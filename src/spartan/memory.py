@@ -19,6 +19,9 @@ so the child work runs as dense products over exactly the selected children.
 parent gradient as two dense products through a (T, N) matrix that is zero
 off the selected parents. The tests compare both against an independent
 per-position reference and against finite differences.
+
+The layer's tensors, their shapes and how each starts are declared once, in
+`SpartanLayerParams.shapes`; `init_params` draws a fresh layer from it.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .numerics import (
     ShapeError,
     check_counts,
     check_shapes,
-    sample_gaussian,
+    init_tensors,
     softmax_rows,
     topk_rows,
 )
@@ -67,9 +70,17 @@ class SpartanLayerParams:
 
     @staticmethod
     def shapes(cfg: SpartanConfig) -> tuple:
-        """The tensor schema: (field, shape) in checkpoint order."""
+        """The tensor schema: (field, shape, init) in checkpoint order.
+
+        Parents and child keys start ~ N(0, 1/d); child values at zero, which
+        makes the layer an exact identity at initialization: the residual
+        passes the input through untouched until training writes to the
+        value rows.
+        """
         n, c, d = cfg.num_parents, cfg.children_per_parent, cfg.d
-        return (("parents", (n, d)), ("child_keys", (n, c, d)), ("child_values", (n, c, d)))
+        std = 1.0 / np.sqrt(d)
+        return (("parents", (n, d), std), ("child_keys", (n, c, d), std),
+                ("child_values", (n, c, d), "zeros"))
 
     def __post_init__(self):
         check_shapes(self, self.shapes(self.cfg))
@@ -82,7 +93,7 @@ class SpartanLayerParams:
     def backward(self, trace: BatchTrace, d_out: np.ndarray):
         """(d_input, {field: gradient}) for the schema's tensors."""
         g = backward_batch(self, trace, d_out)
-        return g.d_input, {name: getattr(g, name) for name, _ in self.shapes(self.cfg)}
+        return g.d_input, {name: getattr(g, name) for name, _, _ in self.shapes(self.cfg)}
 
 
 @dataclass
@@ -114,18 +125,8 @@ class BatchTrace:
 
 
 def init_params(cfg: SpartanConfig, rng: np.random.Generator) -> SpartanLayerParams:
-    """Parents and child keys ~ N(0, 1/d); child values zero.
-
-    Zero values make the layer an exact identity at initialization: the
-    residual passes the input through untouched until training writes to the
-    value rows.
-    """
-    n, c, d = cfg.num_parents, cfg.children_per_parent, cfg.d
-    std = 1.0 / np.sqrt(d)
-    parents = sample_gaussian(rng, n * d, std).reshape(n, d)
-    child_keys = sample_gaussian(rng, n * c * d, std).reshape(n, c, d)
-    child_values = np.zeros((n, c, d))
-    return SpartanLayerParams(cfg, parents, child_keys, child_values)
+    """Fresh layer parameters, each tensor started as the schema declares."""
+    return SpartanLayerParams(cfg, **init_tensors(SpartanLayerParams.shapes(cfg), rng))
 
 
 def _block_size(n: int, t: int) -> int:

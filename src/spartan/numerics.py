@@ -13,6 +13,7 @@ reproduces an entire run.
 
 from __future__ import annotations
 
+import math
 import numbers
 import threading
 
@@ -40,8 +41,8 @@ class ParameterError(ValueError):
 
 
 def check_shapes(obj, schema) -> None:
-    """Raise ShapeError unless each (name, shape) of the schema matches obj.name's shape."""
-    for name, shape in schema:
+    """Raise ShapeError unless each (name, shape, init) of the schema matches obj.name's shape."""
+    for name, shape, _ in schema:
         got = getattr(obj, name).shape
         if got != shape:
             raise ShapeError(f"{name} shape {got} != {shape}")
@@ -111,6 +112,18 @@ def sample_gaussian(rng: np.random.Generator, n: int, stddev: float) -> np.ndarr
     return rng.normal(0.0, stddev, size=n)
 
 
+_FILLS = {"zeros": np.zeros, "ones": np.ones}
+
+
+def init_tensors(schema, rng: np.random.Generator) -> dict:
+    """{field: array} for a (field, shape, init) schema, drawn from rng in
+    schema order. init is a Gaussian standard deviation, or "zeros" or "ones"
+    for a constant fill that draws nothing."""
+    return {name: _FILLS[init](shape) if isinstance(init, str)
+            else sample_gaussian(rng, math.prod(shape), init).reshape(shape)
+            for name, shape, init in schema}
+
+
 def gelu_cached(x: np.ndarray):
     """gelu plus the Gaussian cdf it was built from, for reuse in backward."""
     cdf = 0.5 * (1.0 + erf(x / _SQRT2))
@@ -171,6 +184,3 @@ class MacCounter:
 
     def get(self, label: str) -> int:
         return self.by_label.get(label, 0)
-
-    def reset(self) -> None:
-        self.by_label.clear()

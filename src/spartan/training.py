@@ -38,10 +38,9 @@ class TrainConfig:
     beta2: float = 0.999
     epsilon: float = 1e-8
     weight_decay: float = 0.0
-    eval_every: int = 0  # 0 = only record loss
 
     def __post_init__(self):
-        check_counts(vars(self), batch_size=1, steps=0, few_shot_steps=0, seed=0, eval_every=0)
+        check_counts(vars(self), batch_size=1, steps=0, few_shot_steps=0, seed=0)
         for name, high in (("learning_rate", math.inf), ("weight_decay", math.inf),
                            ("epsilon", math.inf), ("beta1", 1.0), ("beta2", 1.0)):
             value = getattr(self, name)
@@ -61,7 +60,7 @@ class OptimizerState:
 
 @dataclass
 class TrainResult:
-    history: list = field(default_factory=list)  # dicts: step, loss, eval_accuracy?
+    history: list = field(default_factory=list)  # dicts: step, loss
 
 
 def cross_entropy_batch(logits: np.ndarray, labels: np.ndarray):
@@ -146,8 +145,7 @@ def compute_batch_gradients(model: Model, token_lists: list[np.ndarray], labels:
     return total_loss / n, grads
 
 
-def train(model: Model, dataset: list[Example], cfg: TrainConfig,
-          eval_dataset: list[Example] | None = None) -> TrainResult:
+def train(model: Model, dataset: list[Example], cfg: TrainConfig) -> TrainResult:
     """Seed-deterministic fine-tuning of plugin + head on the given dataset.
 
     Batches walk shuffled epochs; a non-finite loss or gradient aborts before
@@ -180,10 +178,7 @@ def train(model: Model, dataset: list[Example], cfg: TrainConfig,
             if not np.isfinite(g).all():
                 raise NumericalError(f"non-finite gradient for {name} at step {step}")
         adam_step(opt, model, grads, cfg)
-        record = {"step": step, "loss": float(loss)}
-        if cfg.eval_every and eval_dataset and (step + 1) % cfg.eval_every == 0:
-            record["eval_accuracy"] = evaluate(model, eval_dataset)
-        result.history.append(record)
+        result.history.append({"step": step, "loss": float(loss)})
     return result
 
 
@@ -204,11 +199,8 @@ def evaluate(model: Model, dataset: list[Example]) -> float:
 
 
 def write_metrics_csv(path, history: list[dict]) -> None:
-    """step, loss, and eval_accuracy where recorded."""
-    with_acc = any("eval_accuracy" in rec for rec in history)
-    fields = ["step", "loss"] + (["eval_accuracy"] if with_acc else [])
+    """One row of step and loss per history record."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
+        writer = csv.DictWriter(fh, fieldnames=["step", "loss"])
         writer.writeheader()
-        for rec in history:
-            writer.writerow({k: rec.get(k, "") for k in fields})
+        writer.writerows(history)

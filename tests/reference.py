@@ -2,7 +2,8 @@
 
 Each is written from the definition, one position or one row at a time, and
 shares no code with `spartan`'s batched paths. None checks its inputs: a test
-hands them well-formed arrays.
+hands them well-formed arrays. The initializers write every tensor out by
+hand, in the order the package draws them, without the tensor schema.
 """
 
 import math
@@ -11,8 +12,16 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import erf
 
-from spartan.backbone import iter_named_tensors
-from spartan.memory import SpartanGradients
+from spartan.adapter import AdapterConfig, AdapterParams
+from spartan.backbone import (
+    BackboneConfig,
+    BackboneParams,
+    LayerWeights,
+    Model,
+    PluginSpec,
+    iter_named_tensors,
+)
+from spartan.memory import SpartanConfig, SpartanGradients, SpartanLayerParams
 
 
 def softmax_stable(logits):
@@ -139,3 +148,90 @@ def dense_forward(params, x):
         attn = softmax_stable(params.child_keys[i] @ x)
         out = out + probs[i] * (attn @ params.child_values[i])
     return out
+
+
+def _gaussian(rng, std, *shape):
+    return rng.normal(0.0, std, math.prod(shape)).reshape(shape)
+
+
+def init_backbone(cfg, num_labels, rng):
+    """Embeddings ~ N(0, 1); projections ~ N(0, 1/fan_in), biases zero, norms
+    at identity; the head at zero."""
+    d, f = cfg.d, cfg.ffn_dim
+    sd = 1.0 / np.sqrt(d)
+    token_emb = _gaussian(rng, 1.0, cfg.vocab_hash_buckets, d)
+    pos_emb = _gaussian(rng, 1.0, cfg.max_seq_len, d)
+    layers = []
+    for _ in range(cfg.layers):
+        layers.append(LayerWeights(
+            wq=_gaussian(rng, sd, d, d), wk=_gaussian(rng, sd, d, d),
+            wv=_gaussian(rng, sd, d, d), wo=_gaussian(rng, sd, d, d),
+            bq=np.zeros(d), bk=np.zeros(d), bv=np.zeros(d), bo=np.zeros(d),
+            ln1_gain=np.ones(d), ln1_bias=np.zeros(d),
+            w1=_gaussian(rng, sd, f, d), b1=np.zeros(f),
+            w2=_gaussian(rng, 1.0 / np.sqrt(f), d, f), b2=np.zeros(d),
+            ln2_gain=np.ones(d), ln2_bias=np.zeros(d),
+        ))
+    return BackboneParams(token_emb=token_emb, pos_emb=pos_emb, layers=layers,
+                          head_weight=np.zeros((num_labels, d)), head_bias=np.zeros(num_labels))
+
+
+def init_memory(cfg, rng):
+    """Parents and child keys ~ N(0, 1/d); child values zero."""
+    n, c, d = cfg.num_parents, cfg.children_per_parent, cfg.d
+    std = 1.0 / np.sqrt(d)
+    parents = _gaussian(rng, std, n, d)
+    child_keys = _gaussian(rng, std, n, c, d)
+    return SpartanLayerParams(cfg, parents, child_keys, np.zeros((n, c, d)))
+
+
+def init_adapter(cfg, rng):
+    """Down projection ~ N(0, 1/d); up projection and biases zero; norm at
+    identity."""
+    b, d = cfg.bottleneck, cfg.d
+    return AdapterParams(cfg, down=_gaussian(rng, 1.0 / np.sqrt(d), b, d), down_bias=np.zeros(b),
+                         up=np.zeros((d, b)), up_bias=np.zeros(d),
+                         norm_gain=np.ones(d), norm_bias=np.zeros(d))
+
+
+PLUGIN_INIT = {"none": (None, 0), "spartan": (init_memory, 1),
+               "adapter": (init_adapter, 1), "adapterx2": (init_adapter, 2)}
+
+
+def make_plugin(kind, layers, plugin_cfg, rng):
+    """Per layer, a stack of freshly initialized instances of the kind."""
+    init, depth = PLUGIN_INIT[kind]
+    return PluginSpec(kind, [tuple(init(plugin_cfg, rng) for _ in range(depth))
+                             for _ in range(layers)])
+
+
+def bench_plugin_spec(cfg, layers, rng):
+    """The bench's plugin at float64: initialized, then child values and the
+    adapter's up projection drawn at N(0, 1/d) and N(0, 1/bottleneck)."""
+    dense = cfg.architecture == "spartan-dense"
+    kind = "spartan" if dense else cfg.architecture
+    plugin_cfg = None
+    if kind == "spartan":
+        plugin_cfg = SpartanConfig(d=cfg.d, num_parents=cfg.num_parents,
+                                   children_per_parent=cfg.children_per_parent,
+                                   top_k=cfg.num_parents if dense else cfg.top_k)
+    elif kind != "none":
+        plugin_cfg = AdapterConfig(d=cfg.d, bottleneck=cfg.bottleneck)
+    spec = make_plugin(kind, layers, plugin_cfg, rng)
+    start_std = {"child_values": 1.0 / np.sqrt(cfg.d), "up": 1.0 / np.sqrt(cfg.bottleneck)}
+    for stack in spec.layers:
+        for inst in stack:
+            for name, std in start_std.items():
+                if hasattr(inst, name):
+                    arr = getattr(inst, name)
+                    arr[...] = rng.normal(0.0, std, arr.shape)
+    return spec
+
+
+def bench_model(cfg, rng):
+    """The bench's model at float64."""
+    bb_cfg = BackboneConfig(d=cfg.d, layers=cfg.layers, heads=cfg.heads, ffn_dim=cfg.ffn_dim,
+                            vocab_hash_buckets=cfg.vocab_hash_buckets,
+                            max_seq_len=max(cfg.seq_len, 2))
+    params = init_backbone(bb_cfg, cfg.num_labels, rng)
+    return Model(bb_cfg, params, bench_plugin_spec(cfg, cfg.layers, rng))

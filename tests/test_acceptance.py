@@ -16,7 +16,7 @@ from fdcheck import central_diff, max_rel_err, sample_spartan_instance
 from spartan import analysis as analysis_mod
 from spartan import bench as bench_mod
 from spartan import params as params_mod
-from spartan.adapter import AdapterConfig, adapter_backward, adapter_forward, init_adapter
+from spartan.adapter import AdapterConfig, AdapterParams, adapter_backward, adapter_forward
 from spartan.backbone import (
     BackboneConfig,
     Model,
@@ -28,7 +28,7 @@ from spartan.backbone import (
 from spartan.checkpoint import load_checkpoint, save_checkpoint
 from spartan.data import SyntheticTopicTask, generate_topic_dataset
 from spartan.memory import SpartanConfig, backward_batch, forward_batch, init_params
-from spartan.numerics import MacCounter, make_rng
+from spartan.numerics import MacCounter, init_tensors, make_rng
 from spartan.training import TrainConfig, evaluate, train
 
 
@@ -44,7 +44,7 @@ def criterion(number, description):
 
 def randomized_adapter(cfg, seed):
     rng = make_rng(seed)
-    params = init_adapter(cfg, rng)
+    params = AdapterParams(cfg, **init_tensors(AdapterParams.shapes(cfg), rng))
     params.up[...] = rng.normal(0.0, 0.5, params.up.shape)
     params.norm_gain[...] = rng.normal(1.0, 0.1, params.norm_gain.shape)
     params.norm_bias[...] = rng.normal(0.0, 0.1, params.norm_bias.shape)

@@ -10,9 +10,16 @@ from spartan.adapter import (
     AdapterParams,
     adapter_backward,
     adapter_forward,
-    init_adapter,
 )
-from spartan.numerics import LN_EPS, MacCounter, ShapeError, gelu_cached, gelu_grad_cached, make_rng
+from spartan.numerics import (
+    LN_EPS,
+    MacCounter,
+    ShapeError,
+    gelu_cached,
+    gelu_grad_cached,
+    init_tensors,
+    make_rng,
+)
 
 
 def scalar_loop_adapter(params: AdapterParams, x):
@@ -27,6 +34,11 @@ def scalar_loop_adapter(params: AdapterParams, x):
     var = sum((v - mu) ** 2 for v in y) / d
     inv = 1.0 / math.sqrt(var + LN_EPS)
     return [params.norm_gain[i] * (y[i] - mu) * inv + params.norm_bias[i] for i in range(d)]
+
+
+def init_adapter(cfg, rng):
+    """A fresh instance, drawn from the schema as the backbone draws one."""
+    return AdapterParams(cfg, **init_tensors(AdapterParams.shapes(cfg), rng))
 
 
 def randomized_adapter(cfg, seed):

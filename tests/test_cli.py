@@ -13,7 +13,7 @@ from spartan import cli
 from spartan.backbone import BackboneConfig, Model, init_backbone, iter_named_tensors, make_plugin
 from spartan.checkpoint import load_checkpoint, save_checkpoint
 from spartan.cli import build_parser, main
-from spartan.data import SyntheticTopicTask, generate_topic_dataset, write_jsonl
+from spartan.data import Example, SyntheticTopicTask, generate_topic_dataset, write_jsonl
 from spartan.memory import SpartanConfig
 from spartan.numerics import make_rng
 from spartan.training import NumericalError, TrainResult
@@ -472,6 +472,24 @@ class TestCheckpointLoaderErrors:
         self._rewrite(path, lambda p: p["config"][section].update({field: value}))
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", field)
+
+    @pytest.mark.parametrize("num_labels", [1, 0])
+    def test_num_labels_below_two_in_config_echo(self, saved, capsys, num_labels):
+        path, data = saved
+        zeros = data.with_name("zeros.jsonl")  # all labels 0: in range for a one-label head
+        write_jsonl(zeros, [Example(f"text {i}", 0) for i in range(4)])
+
+        def shrink_head(payload):
+            payload["config"]["num_labels"] = num_labels
+            weight = payload["tensors"]["head.weight"]
+            d = weight["shape"][1]
+            weight.update(shape=[num_labels, d], values=weight["values"][:num_labels * d])
+            bias = payload["tensors"]["head.bias"]
+            bias.update(shape=[num_labels], values=bias["values"][:num_labels])
+
+        self._rewrite(path, shrink_head)
+        assert main(["eval", "--model", str(path), "--data", str(zeros)]) == 2
+        _assert_one_line_error(capsys, "data error", "num_labels must be")
 
     def test_dtype_disagreeing_with_schema(self, saved, capsys):
         path, data = saved

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from spartan import bench as bench_mod
-from spartan.adapter import AdapterConfig, adapter_backward, adapter_forward, init_adapter
+from spartan.adapter import AdapterConfig, AdapterParams, adapter_backward, adapter_forward
 from spartan.backbone import PluginSpec, classify_backward, classify_forward, encode, plugin_slots
 from spartan.memory import (
     SpartanConfig,
@@ -22,6 +22,7 @@ from spartan.memory import (
 from spartan.numerics import (
     gelu_cached,
     gelu_grad_cached,
+    init_tensors,
     layer_norm,
     make_rng,
     softmax_rows,
@@ -58,7 +59,8 @@ class TestNumericsOps:
 class TestPlugins:
     def test_adapter_forward_and_backward(self):
         rng = make_rng(3)
-        params = init_adapter(AdapterConfig(d=12, bottleneck=4), rng)
+        cfg = AdapterConfig(d=12, bottleneck=4)
+        params = AdapterParams(cfg, **init_tensors(AdapterParams.shapes(cfg), rng))
         bench_mod._cast(plugin_slots(PluginSpec("adapter", [(params,)])), F32)
         x = normal32(rng, 9, 12)
         out, trace = adapter_forward(params, x, collect_trace=True)

@@ -1,0 +1,34 @@
+"""Smoke tests: each script in scripts/ runs to exit 0 in a fresh interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, *args, cwd):
+    run = subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd,
+                         capture_output=True, text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert run.returncode == 0, run.stderr
+    return run.stdout
+
+
+def test_make_synthetic_data_writes_both_splits(tmp_path):
+    run_script("make_synthetic_data.py", "--out-dir", "data", "--per-topic", "5", cwd=tmp_path)
+    for split in ("train", "valid"):
+        assert len((tmp_path / "data" / f"{split}.jsonl").read_text().splitlines()) == 20
+
+
+def test_specialization_experiment_runs_end_to_end(tmp_path):
+    out = run_script("specialization_experiment.py", "--steps", "2", "--out-prefix", "spec",
+                     cwd=tmp_path)
+    assert '"nmi"' in out
+    for suffix in (".csv", ".json", ".metrics.csv"):
+        assert (tmp_path / f"spec{suffix}").exists()
+
+
+def test_throughput_sweep_help_exits_0(tmp_path):
+    assert "usage" in run_script("throughput_sweep.py", "--help", cwd=tmp_path)

@@ -265,11 +265,8 @@ class TestEvaluate:
 
 
 class TestMetricsCsv:
-    def test_writes_step_loss_and_optional_accuracy(self, tmp_path):
-        history = [{"step": 0, "loss": 1.5}, {"step": 1, "loss": 1.2, "eval_accuracy": 0.5}]
+    def test_writes_step_and_loss_per_record(self, tmp_path):
+        history = [{"step": 0, "loss": 1.5}, {"step": 1, "loss": 1.2}]
         path = tmp_path / "metrics.csv"
         write_metrics_csv(path, history)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,loss,eval_accuracy"
-        assert lines[1].startswith("0,1.5")
-        assert lines[2] == "1,1.2,0.5"
+        assert path.read_text().splitlines() == ["step,loss", "0,1.5", "1,1.2"]
