@@ -7,6 +7,10 @@ initialized and frozen; only plugin parameters and the classification head
 train. The rest of this module is a manual reverse-mode pass through the stack
 that produces gradients for exactly those trainable tensors.
 
+Hidden states run as one flat (B·S, d) token matrix, so each projection, norm
+and plugin is one 2-D product over all tokens, not B per-sequence ones; only
+attention's scores and context see (B, H, S, dh) heads, per sequence.
+
 `PLUGINS` gives each plugin kind its config and params types and its stack
 depth; a layer's plugin entry is a tuple of that many instances, each with
 `forward(x, counter, collect)`, `backward(trace, d_out)` and a `shapes(cfg)`
@@ -246,20 +250,18 @@ def empty_model(cfg: BackboneConfig, num_labels: int, kind: str, plugin_cfg,
                  _plugin_spec(kind, cfg.layers, plugin_cfg, fill))
 
 
-def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    b, s, d = x.shape
-    return x.reshape(b, s, heads, d // heads).transpose(0, 2, 1, 3)
+def _split_heads(x: np.ndarray, b: int, heads: int) -> np.ndarray:
+    return x.reshape(b, -1, heads, x.shape[-1] // heads).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    b, h, s, dh = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
+    return x.transpose(0, 2, 1, 3).reshape(-1, x.shape[1] * x.shape[3])
 
 
-def _attention_forward(lw: LayerWeights, h: np.ndarray, heads: int):
-    q = _split_heads(h @ lw.wq.T + lw.bq, heads)
-    k = _split_heads(h @ lw.wk.T + lw.bk, heads)
-    v = _split_heads(h @ lw.wv.T + lw.bv, heads)
+def _attention_forward(lw: LayerWeights, h: np.ndarray, b: int, heads: int):
+    q = _split_heads(h @ lw.wq.T + lw.bq, b, heads)
+    k = _split_heads(h @ lw.wk.T + lw.bk, b, heads)
+    v = _split_heads(h @ lw.wv.T + lw.bv, b, heads)
     scale = float(1.0 / np.sqrt(q.shape[-1]))  # a Python float keeps f32 in f32 (NEP 50)
     scores = (q @ k.transpose(0, 1, 3, 2)) * scale
     scores -= scores.max(axis=-1, keepdims=True)
@@ -271,8 +273,7 @@ def _attention_forward(lw: LayerWeights, h: np.ndarray, heads: int):
 
 def _attention_backward(lw: LayerWeights, cache, d_out: np.ndarray) -> np.ndarray:
     q, k, v, attn, scale = cache
-    heads = q.shape[1]
-    d_ctx = _split_heads(d_out @ lw.wo, heads)
+    d_ctx = _split_heads(d_out @ lw.wo, q.shape[0], q.shape[1])
     d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
     d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
     d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
@@ -338,24 +339,21 @@ def encode(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
     if capture_routing and model.plugin.kind != "spartan":
         raise ParameterError("routing capture requires the spartan plugin")
 
-    h = model.params.token_emb[ids] + model.params.pos_emb[:s]
+    h = (model.params.token_emb[ids] + model.params.pos_emb[:s]).reshape(b * s, cfg.d)
     layer_caches = []
     routing = [] if capture_routing else None
     collect_plugin = collect or capture_routing
     for l, lw in enumerate(model.params.layers):
-        a, attn_cache = _attention_forward(lw, h, cfg.heads)
+        a, attn_cache = _attention_forward(lw, h, b, cfg.heads)
         h1, ln1_cache = layer_norm(h + a, lw.ln1_gain, lw.ln1_bias)
         f, ffn_cache = _ffn_forward(lw, h1)
         h2, ln2_cache = layer_norm(h1 + f, lw.ln2_gain, lw.ln2_bias)
-        out_flat, ptrace = _plugin_forward(model.plugin, l, h2.reshape(b * s, cfg.d),
-                                           counter, collect_plugin)
-        h = out_flat.reshape(b, s, cfg.d)
+        h, ptrace = _plugin_forward(model.plugin, l, h2, counter, collect_plugin)
         if capture_routing:
             routing.append(ptrace[0].parent_probs[np.arange(b) * s])
         if collect:
             layer_caches.append((attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace))
-    bundle = layer_caches if collect else None
-    return h, bundle, routing
+    return h.reshape(b, s, cfg.d), layer_caches if collect else None, routing
 
 
 def pool(cfg: BackboneConfig, hidden: np.ndarray) -> np.ndarray:
@@ -400,20 +398,20 @@ def classify_backward(model: Model, fw_state, d_logits: np.ndarray) -> dict[str,
 
     d_pooled = d_logits @ model.params.head_weight
     if model.cfg.pooling == "first":
-        d_h = np.zeros((b, s, d), dtype=d_pooled.dtype)
-        d_h[:, 0, :] = d_pooled
+        d_h = np.zeros((b * s, d), dtype=d_pooled.dtype)
+        d_h[::s] = d_pooled
     else:
-        d_h = np.broadcast_to(d_pooled[:, None, :] / s, (b, s, d)).copy()
+        d_h = np.repeat(d_pooled / s, s, axis=0)
 
     for l in range(model.cfg.layers - 1, -1, -1):
         attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace = bundle[l]
         lw = model.params.layers[l]
-        d_flat, pgrads = _plugin_backward(model.plugin, l, ptrace, d_h.reshape(b * s, d))
+        d_h, pgrads = _plugin_backward(model.plugin, l, ptrace, d_h)
         for name, g in pgrads.items():
             grads[f"plugin.layer{l}.{name}"] = g
         if l == 0:
             break  # nothing trainable below the first layer's plugin
-        d_r2 = layer_norm_backward(ln2_cache, lw.ln2_gain, d_flat.reshape(b, s, d))
+        d_r2 = layer_norm_backward(ln2_cache, lw.ln2_gain, d_h)
         d_h1 = d_r2 + _ffn_backward(lw, ffn_cache, d_r2)
         d_r1 = layer_norm_backward(ln1_cache, lw.ln1_gain, d_h1)
         d_h = d_r1 + _attention_backward(lw, attn_cache, d_r1)

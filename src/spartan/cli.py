@@ -107,6 +107,10 @@ def _num_labels(conf: dict, default: int) -> int:
 
 
 def _check_labels(examples, num_labels: int, path) -> None:
+    if not examples:
+        raise DataError(f"no examples in {path}")
+    if num_labels < 2:  # only a count inferred from the data can be below 2
+        raise DataError(f"labels in {path} span {num_labels} class(es); training needs at least 2")
     if any(not 0 <= ex.label < num_labels for ex in examples):
         raise DataError(f"labels outside [0, {num_labels}) in {path}")
 
@@ -120,9 +124,7 @@ def cmd_train(args) -> int:
 
     manifest = load_label_manifest(args.data)
     examples = load_jsonl(args.data, label_map=manifest)
-    if not examples:
-        raise DataError(f"no examples in {args.data}")
-    num_labels = _num_labels(conf, max(ex.label for ex in examples) + 1)
+    num_labels = _num_labels(conf, max((ex.label for ex in examples), default=0) + 1)
     _check_labels(examples, num_labels, args.data)
 
     backbone_cfg = _build(BackboneConfig, conf["backbone"], "backbone")
@@ -168,8 +170,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.model)
     examples = load_jsonl(args.data, label_map=meta["label_manifest"] or None)
-    if not examples:
-        raise DataError(f"no examples in {args.data}")
     _check_labels(examples, model.params.num_labels, args.data)
     acc = evaluate(model, examples)
     payload = {"accuracy": acc, "examples": len(examples), "model": str(args.model)}
@@ -214,8 +214,6 @@ def cmd_bench(args) -> int:
 def cmd_analyze(args) -> int:
     model, meta = load_checkpoint(args.model)
     examples = load_jsonl(args.data, label_map=meta["label_manifest"] or None)
-    if not examples:
-        raise DataError(f"no examples in {args.data}")
     _check_labels(examples, model.params.num_labels, args.data)
     records = analysis_mod.collect_selections(model, examples, args.layer)
     stats = analysis_mod.specialization_stats(records)

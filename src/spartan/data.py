@@ -123,12 +123,16 @@ def load_jsonl(path, label_map: dict[str, int] | None = None) -> list[Example]:
         label_map = load_label_manifest(path)
 
     raw = []
-    with open(path, encoding="utf-8") as fh:
+    # an undecodable byte stays on its line as a lone surrogate, which encode() refuses
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
+                line.encode("utf-8")
                 obj = json.loads(line)
+            except UnicodeEncodeError as exc:
+                raise DataError(f"{path} line {lineno}: not valid UTF-8") from exc
             except json.JSONDecodeError as exc:
                 raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:

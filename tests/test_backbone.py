@@ -194,6 +194,39 @@ class TestEndToEndGradients:
         assert max_rel_err(grads["plugin.layer0.parents"], fd) <= 1e-6
 
 
+class TestSequencesStayIndependent:
+    """The encoder runs a batch as one flat (B·S, d) token matrix; only
+    attention mixes tokens, and only within a sequence. So each sequence's
+    output and gradient must not depend on the others in its batch."""
+
+    @pytest.mark.parametrize("kind", ["none", "spartan", "adapter", "adapterx2"])
+    def test_batch_matches_each_sequence_alone(self, kind):
+        model = small_model(23, kind)
+        rng = make_rng(24)
+        for stack in model.plugin.layers:
+            for inst in stack:
+                for name in ("child_values", "up"):  # zero at init: make the plugin act
+                    if hasattr(inst, name):
+                        setattr(inst, name, rng.normal(0.0, 0.3, getattr(inst, name).shape))
+        model.params.head_weight[...] = rng.normal(0.0, 0.3, model.params.head_weight.shape)
+        ids = rng.integers(0, CFG.vocab_hash_buckets, size=(3, 7))
+        d_logits = rng.standard_normal((3, model.params.num_labels))
+
+        hidden, _, _ = encode(model, ids)
+        logits, state = classify_forward(model, ids, collect=True)
+        grads = classify_backward(model, state, d_logits)
+        summed = {}
+        for i in range(3):
+            alone, _, _ = encode(model, ids[i:i + 1])
+            np.testing.assert_allclose(hidden[i], alone[0], rtol=0, atol=1e-12)
+            _, state_i = classify_forward(model, ids[i:i + 1], collect=True)
+            for name, g in classify_backward(model, state_i, d_logits[i:i + 1]).items():
+                summed[name] = summed.get(name, 0) + g
+        assert grads.keys() == summed.keys()
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, summed[name], rtol=1e-10, atol=1e-12, err_msg=name)
+
+
 class TestIdentityAtInit:
     def test_holds_through_all_layers(self):
         cfg = BackboneConfig(d=128, layers=4, heads=4, ffn_dim=256,

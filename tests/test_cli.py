@@ -162,6 +162,26 @@ class TestTrainCommand:
         assert code == 2
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_utf8_jsonl_exits_2_naming_file_and_line(self, workdir, capsys):
+        tmp, config, _ = workdir
+        bad = tmp / "bad.jsonl"
+        bad.write_bytes(b'{"text": "ok", "label": 0}\n{"text": "caf\xe9", "label": 1}\n')
+        code = main(["train", "--config", str(config), "--data", str(bad),
+                     "--out", str(tmp / "x.json")])
+        assert code == 2
+        _assert_one_line_error(capsys, "data error", "bad.jsonl line 2")
+        assert not (tmp / "x.json").exists()
+
+    def test_single_label_data_exits_2_naming_it(self, workdir, capsys):
+        tmp, config, _ = workdir
+        one = tmp / "one_label.jsonl"
+        one.write_text('{"text": "alpha beta", "label": 0}\n{"text": "gamma", "label": 0}\n')
+        code = main(["train", "--config", str(config), "--data", str(one),
+                     "--out", str(tmp / "x.json")])
+        assert code == 2
+        _assert_one_line_error(capsys, "data error", "one_label.jsonl")
+        assert not (tmp / "x.json").exists()
+
     def test_malformed_label_manifest_exits_2_naming_it(self, workdir, capsys):
         tmp, config, data = workdir
         (tmp / "labels.json").write_text("{not json")
@@ -245,6 +265,17 @@ class TestEvalCommand:
         empty = tmp / "empty.jsonl"
         empty.write_text("")
         assert main(["eval", "--model", str(out), "--data", str(empty)]) == 2
+
+    def test_non_utf8_jsonl_exits_2_naming_file_and_line(self, workdir, capsys):
+        tmp, config, data = workdir
+        out = tmp / "model.json"
+        assert main(["train", "--config", str(config), "--data", str(data), "--out", str(out),
+                     "--steps", "1"]) == 0
+        capsys.readouterr()
+        bad = tmp / "bad.jsonl"
+        bad.write_bytes(data.read_bytes()[:200] + b"\xff\xfe\n")
+        assert main(["eval", "--model", str(out), "--data", str(bad)]) == 2
+        _assert_one_line_error(capsys, "data error", "bad.jsonl line")
 
     def test_malformed_label_manifest_exits_2_naming_it(self, workdir, capsys):
         tmp, config, data = workdir

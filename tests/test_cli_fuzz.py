@@ -1,6 +1,6 @@
-"""Property: a config or checkpoint with one JSON value replaced never crashes
-the CLI. `train` and `eval` exit 0, 1, 2 or 3, with at most one line on
-stderr and no traceback.
+"""Properties: a config or checkpoint with one JSON value replaced, and a data
+file or checkpoint with damaged bytes, never crash the CLI. `train` and
+`eval` exit 0, 1, 2 or 3, with at most one line on stderr and no traceback.
 
 Replacement integers stay small so that no mutated shape allocates much, and
 `train` runs two steps whatever the config says.
@@ -81,6 +81,31 @@ def run_cli(argv):
     return code, err.getvalue()
 
 
+def assert_clean_exit(code, err):
+    assert code in (0, 1, 2, 3), (code, err)
+    assert len(err.strip().splitlines()) <= 1 and "Traceback" not in err, err
+
+
+# a lone continuation byte, a truncated 2- and 3-byte sequence, an encoded
+# surrogate, an overlong '/', and bytes UTF-8 never uses
+INVALID_UTF8 = (b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf", b"\xfe", b"\xff")
+
+
+def damaged(raw: bytes, draw) -> bytes:
+    """raw truncated, with bits flipped, or with invalid UTF-8 inserted."""
+    how = draw.draw(st.sampled_from(["truncate", "flip", "insert"]), label="how")
+    if how == "truncate":
+        return raw[:draw.draw(st.integers(0, len(raw) - 1), label="keep")]
+    if how == "insert":
+        at = draw.draw(st.integers(0, len(raw)), label="at")
+        return raw[:at] + draw.draw(st.sampled_from(INVALID_UTF8), label="bytes") + raw[at:]
+    out = bytearray(raw)
+    flips = st.tuples(st.integers(0, len(raw) - 1), st.integers(0, 7))
+    for at, bit in draw.draw(st.lists(flips, min_size=1, max_size=8), label="flips"):
+        out[at] ^= 1 << bit
+    return bytes(out)
+
+
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(command=st.sampled_from(["train", "eval"]), draw=st.data())
 def test_one_replaced_value_never_crashes(originals, command, draw):
@@ -99,5 +124,22 @@ def test_one_replaced_value_never_crashes(originals, command, draw):
         else:
             argv = ["eval", "--model", str(mutated), "--data", str(data)]
         code, err = run_cli(argv)
-    assert code in (0, 1, 2, 3), (code, err)
-    assert len(err.strip().splitlines()) <= 1 and "Traceback" not in err, err
+    assert_clean_exit(code, err)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(command=st.sampled_from(["train", "eval"]), draw=st.data())
+def test_damaged_bytes_never_crash(originals, command, draw):
+    """train reads a damaged JSONL data file; eval a damaged checkpoint."""
+    data, model = originals
+    raw = damaged((data if command == "train" else model).read_bytes(), draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        mutated = Path(tmp) / ("train.jsonl" if command == "train" else "model.json")
+        mutated.write_bytes(raw)
+        if command == "train":
+            argv = ["train", "--data", str(mutated), "--config", str(data.parent / "config.json"),
+                    "--out", str(Path(tmp) / "out.json"), "--steps", "2"]
+        else:
+            argv = ["eval", "--model", str(mutated), "--data", str(data)]
+        code, err = run_cli(argv)
+    assert_clean_exit(code, err)
