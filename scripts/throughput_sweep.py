@@ -35,7 +35,6 @@ def main():
 
     arms = {
         "spartan-K8": BenchConfig(architecture="spartan", **shared),
-        "spartan-dense-K16": BenchConfig(architecture="spartan-dense", **shared),
         "adapter-b64": BenchConfig(architecture="adapter", bottleneck=64, **shared),
         "adapter-b32-macmatched": BenchConfig(architecture="adapter", bottleneck=32, **shared),
         "adapterx2-b64": BenchConfig(architecture="adapterx2", bottleneck=64, **shared),

@@ -47,7 +47,7 @@ from .backbone import (
 from .numerics import MacCounter, ParameterError, check_counts, make_rng
 from .training import TrainConfig, adam_step, cross_entropy_batch, init_optimizer
 
-ARCHITECTURES = ("spartan", "spartan-dense", "adapter", "adapterx2", "none")
+ARCHITECTURES = ("spartan", "adapter", "adapterx2", "none")
 
 
 @dataclass
@@ -160,8 +160,6 @@ def count_macs(architecture: str, d: int, num_parents: int = 16,
     """
     if architecture == "spartan":
         return num_parents * d + 2 * top_k * children_per_parent * d
-    if architecture == "spartan-dense":
-        return num_parents * d + 2 * num_parents * children_per_parent * d
     if architecture == "adapter":
         return 2 * d * bottleneck
     if architecture == "adapterx2":
@@ -175,18 +173,6 @@ def _dtype(cfg: BenchConfig):
     return np.float32 if cfg.precision == "f32" else np.float64
 
 
-def _plugin(cfg: BenchConfig):
-    """(kind, config) of the arm, the config read from the bench fields of the
-    same names; spartan-dense is the memory layer routing to every parent."""
-    dense = cfg.architecture == "spartan-dense"
-    kind = "spartan" if dense else cfg.architecture
-    config = plugin_kind(kind).config
-    values = {f.name: getattr(cfg, f.name) for f in fields(config)} if config else {}
-    if dense:
-        values["top_k"] = cfg.num_parents
-    return kind, config(**values) if config else None
-
-
 def build_plugin_spec(cfg: BenchConfig, layers: int, rng: np.random.Generator) -> PluginSpec:
     """Plugin parameters for `layers` instances at the bench shapes, randomized
     (zero-initialized matrices included; identity-at-init would undercount
@@ -195,8 +181,10 @@ def build_plugin_spec(cfg: BenchConfig, layers: int, rng: np.random.Generator) -
     bb_cfg = BackboneConfig(d=cfg.d, layers=layers, heads=1, ffn_dim=cfg.ffn_dim,
                             vocab_hash_buckets=cfg.vocab_hash_buckets,
                             max_seq_len=max(cfg.seq_len, 2))
-    kind, plugin_cfg = _plugin(cfg)
-    spec = make_plugin(kind, bb_cfg, rng, plugin_cfg)
+    # the plugin config is read from the bench fields of the same names
+    config = plugin_kind(cfg.architecture).config
+    values = {f.name: getattr(cfg, f.name) for f in fields(config)} if config else {}
+    spec = make_plugin(cfg.architecture, bb_cfg, rng, config(**values) if config else None)
     # matrices that init leaves at zero, drawn here so that every plugin does
     # real work, at N(0, 1/fan_in)
     for stack in spec.layers:

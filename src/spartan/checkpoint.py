@@ -1,18 +1,25 @@
-"""JSON checkpoint format: config echo, label manifest, and every named tensor.
+"""Checkpoint format: one JSON header line, then every tensor's raw bytes.
 
-Scalars are serialized through Python's shortest-exact float repr, so a
-save/load round trip reproduces float64 tensors bit for bit. Desk-scale models
-keep the files small enough that human-inspectable text storage is worth it.
-The tensors and their order come from the schema walk `iter_named_tensors`;
-loading builds a blank model from the config echo and fills it, so a file
-that disagrees with the schema is a DataError, never a half-loaded model.
-Non-finite values are refused both ways: saving raises NumericalError before
-the file is opened, and loading treats NaN/Infinity as a DataError.
+The header holds the format version, seed, label manifest and config echo,
+and `tensors`: the [name, shape] of every tensor in `iter_named_tensors`
+order. The body is those tensors' values in the same order as little-endian
+float64, a float32 tensor widened exactly, so save/load is bitwise lossless.
+The format fixes the dtype and the schema says which tensors train, so the
+file stores neither.
+
+Loading builds a blank model from the config echo, checks the header's tensor
+list against that model's schema walk, and reads each tensor's bytes straight
+into its array; a file that disagrees with the schema, a short body or bytes
+after the last tensor is a DataError, never a half-loaded model. Non-finite
+values are refused both ways: saving raises NumericalError before the file is
+opened, and loading treats a NaN/Infinity token in the header or a non-finite
+value in the body as a DataError.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -22,7 +29,8 @@ from .backbone import BackboneConfig, Model, empty_model, iter_named_tensors, pl
 from .data import DataError
 from .training import NumericalError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+BODY_DTYPE = np.dtype("<f8")
 
 
 def plugin_config_dict(model: Model) -> dict:
@@ -30,19 +38,17 @@ def plugin_config_dict(model: Model) -> dict:
     return {"kind": model.plugin.kind, **(asdict(stack[0].cfg) if stack else {})}
 
 
+def _tensor_list(model: Model) -> list:
+    """[name, shape] of every tensor, in schema order: the header's check."""
+    return [[name, list(arr.shape)] for name, arr, _ in iter_named_tensors(model)]
+
+
 def save_checkpoint(path, model: Model, seed: int, label_manifest: dict | None = None,
                     extra_config: dict | None = None) -> None:
-    tensors = {}
-    for name, arr, trainable in iter_named_tensors(model):
+    for name, arr, _ in iter_named_tensors(model):
         if not np.isfinite(arr).all():
             raise NumericalError(f"tensor {name} has non-finite values; {path} not written")
-        tensors[name] = {
-            "shape": list(arr.shape),
-            "dtype": str(arr.dtype),
-            "trainable": trainable,
-            "values": [float(v) for v in arr.ravel()],
-        }
-    payload = {
+    header = {
         "format_version": FORMAT_VERSION,
         "seed": seed,
         "label_manifest": label_manifest or {},
@@ -52,11 +58,12 @@ def save_checkpoint(path, model: Model, seed: int, label_manifest: dict | None =
             "num_labels": model.params.num_labels,
             **(extra_config or {}),
         },
-        "tensors": tensors,
+        "tensors": _tensor_list(model),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        for _, arr, _ in iter_named_tensors(model):
+            fh.write(np.ascontiguousarray(arr, dtype=BODY_DTYPE).data)
 
 
 def _reject_constant(token: str):
@@ -65,8 +72,8 @@ def _reject_constant(token: str):
 
 
 def _blank_model(config: dict) -> Model:
-    """Zero-filled model of a checkpoint's config echo; a malformed echo raises
-    KeyError, TypeError or ValueError (ParameterError is one)."""
+    """Zero-filled float64 model of a checkpoint's config echo; a malformed
+    echo raises KeyError, TypeError or ValueError (ParameterError is one)."""
     plugin = dict(config["plugin"])
     kind = plugin.pop("kind")
     config_type = plugin_kind(kind).config
@@ -77,47 +84,43 @@ def _blank_model(config: dict) -> Model:
 def load_checkpoint(path):
     """Rebuilds the model; returns (model, metadata dict with seed/config/labels).
 
-    Any file that does not match the format, or whose tensors disagree with
-    the schema in name, shape, dtype or trainable flag, raises DataError.
+    Any file that does not match the format, or whose tensor list disagrees
+    with the schema of its config echo, raises DataError.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"checkpoint not found: {path}")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh, parse_constant=_reject_constant)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
-        raise DataError(f"checkpoint {path}: not valid JSON ({exc})") from exc
-    if not isinstance(payload, dict):
-        raise DataError(f"checkpoint {path}: not a JSON object")
-    if payload.get("format_version") != FORMAT_VERSION:
-        raise DataError(f"unsupported checkpoint format version {payload.get('format_version')}")
-    try:
-        model = _blank_model(payload["config"])
-        stored = payload["tensors"]
-        meta = {key: payload[key] for key in ("seed", "label_manifest", "config")}
-    except KeyError as exc:
-        raise DataError(f"checkpoint {path}: missing key {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"checkpoint {path}: bad config ({exc})") from exc
-    if not isinstance(stored, dict):
-        raise DataError(f"checkpoint {path}: tensors is not a JSON object")
-
-    for name, arr, trainable in iter_named_tensors(model):
-        if name not in stored:
-            raise DataError(f"checkpoint missing tensor {name}")
+    with open(path, "rb") as fh:
         try:
-            entry = stored[name]
-            declared = (entry["trainable"], entry["dtype"])
-            values = np.asarray(entry["values"], dtype=arr.dtype).reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"checkpoint {path}: tensor {name} is malformed ({exc})") from exc
-        if declared != (trainable, str(arr.dtype)):
-            raise DataError(f"tensor {name}: stored trainable/dtype {declared} "
-                            f"!= expected {(trainable, str(arr.dtype))}")
-        if values.shape != arr.shape:
-            raise DataError(f"tensor {name}: shape {values.shape} != expected {arr.shape}")
-        if not np.isfinite(values).all():
-            raise DataError(f"tensor {name}: non-finite values")
-        arr[...] = values
+            header = json.loads(fh.readline().decode("utf-8"), parse_constant=_reject_constant)
+        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError are ValueErrors
+            raise DataError(f"checkpoint {path}: header is not valid JSON ({exc})") from exc
+        if not isinstance(header, dict):
+            raise DataError(f"checkpoint {path}: header is not a JSON object")
+        if header.get("format_version") != FORMAT_VERSION:
+            raise DataError(f"unsupported checkpoint format version {header.get('format_version')}")
+        try:
+            model = _blank_model(header["config"])
+            listed = header["tensors"]
+            meta = {key: header[key] for key in ("seed", "label_manifest", "config")}
+        except KeyError as exc:
+            raise DataError(f"checkpoint {path}: missing key {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise DataError(f"checkpoint {path}: bad config ({exc})") from exc
+        expected = _tensor_list(model)
+        if listed != expected:
+            got = listed if isinstance(listed, list) else []
+            at = next((f"{name} {shape}" for i, (name, shape) in enumerate(expected)
+                       if got[i:i + 1] != [[name, shape]]), "its end")
+            raise DataError(f"checkpoint {path}: header tensors disagree with the schema at {at}")
+
+        for name, arr, _ in iter_named_tensors(model):
+            if fh.readinto(arr) != arr.nbytes:
+                raise DataError(f"checkpoint {path}: body ends inside tensor {name}")
+            if sys.byteorder != "little":
+                arr.byteswap(inplace=True)
+            if not np.isfinite(arr).all():
+                raise DataError(f"tensor {name}: non-finite values")
+        if fh.read(1):
+            raise DataError(f"checkpoint {path}: bytes after the last tensor")
     return model, meta

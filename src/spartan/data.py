@@ -134,11 +134,11 @@ def load_jsonl(path, label_map: dict[str, int] | None = None) -> list[Example]:
             except UnicodeEncodeError as exc:
                 raise DataError(f"{path} line {lineno}: not valid UTF-8") from exc
             except json.JSONDecodeError as exc:
-                raise DataError(f"line {lineno}: invalid JSON ({exc.msg})") from exc
+                raise DataError(f"{path} line {lineno}: invalid JSON ({exc.msg})") from exc
             if not isinstance(obj, dict) or "text" not in obj or "label" not in obj:
-                raise DataError(f'line {lineno}: object must have "text" and "label" fields')
+                raise DataError(f'{path} line {lineno}: object must have "text" and "label" fields')
             if not isinstance(obj["text"], str):
-                raise DataError(f'line {lineno}: "text" must be a string')
+                raise DataError(f'{path} line {lineno}: "text" must be a string')
             raw.append((lineno, obj["text"], obj["label"]))
 
     labels = [lab for _, _, lab in raw]
@@ -148,10 +148,10 @@ def load_jsonl(path, label_map: dict[str, int] | None = None) -> list[Example]:
     examples = []
     for lineno, text, lab in raw:
         if isinstance(lab, bool) or not isinstance(lab, (int, str)):
-            raise DataError(f'line {lineno}: "label" must be an integer or string')
+            raise DataError(f'{path} line {lineno}: "label" must be an integer or string')
         if isinstance(lab, str):
             if lab not in label_map:
-                raise DataError(f"line {lineno}: label {lab!r} missing from label manifest")
+                raise DataError(f"{path} line {lineno}: label {lab!r} missing from label manifest")
             lab = label_map[lab]
         examples.append(Example(text=text, label=int(lab)))
     return examples

@@ -208,13 +208,11 @@ def make_plugin(kind, layers, plugin_cfg, rng):
 def bench_plugin_spec(cfg, layers, rng):
     """The bench's plugin at float64: initialized, then child values and the
     adapter's up projection drawn at N(0, 1/d) and N(0, 1/bottleneck)."""
-    dense = cfg.architecture == "spartan-dense"
-    kind = "spartan" if dense else cfg.architecture
+    kind = cfg.architecture
     plugin_cfg = None
     if kind == "spartan":
         plugin_cfg = SpartanConfig(d=cfg.d, num_parents=cfg.num_parents,
-                                   children_per_parent=cfg.children_per_parent,
-                                   top_k=cfg.num_parents if dense else cfg.top_k)
+                                   children_per_parent=cfg.children_per_parent, top_k=cfg.top_k)
     elif kind != "none":
         plugin_cfg = AdapterConfig(d=cfg.d, bottleneck=cfg.bottleneck)
     spec = make_plugin(kind, layers, plugin_cfg, rng)

@@ -35,7 +35,8 @@ class TestAnalyticCosts:
         assert count_macs("spartan", 768) == 16 * 768 + 2 * 8 * 3 * 768 == 49152
 
     def test_dense_memory_at_paper_shapes(self):
-        assert count_macs("spartan-dense", 768) == 16 * 768 + 2 * 16 * 3 * 768 == 86016
+        # top-K = N: the memory layer routing to every parent
+        assert count_macs("spartan", 768, top_k=16) == 16 * 768 + 2 * 16 * 3 * 768 == 86016
 
     def test_adapter_at_paper_shapes(self):
         assert count_macs("adapter", 768, bottleneck=64) == 2 * 768 * 64 == 98304

@@ -1,16 +1,20 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from spartan import bench as bench_mod
 from spartan import cli
-from spartan.backbone import BackboneConfig, Model, init_backbone, iter_named_tensors, make_plugin
+from spartan import params as params_mod
+from spartan.backbone import (BackboneConfig, Model, init_backbone, iter_named_tensors,
+                              make_plugin, tensor_slots)
 from spartan.checkpoint import load_checkpoint, save_checkpoint
 from spartan.cli import build_parser, main
 from spartan.data import Example, SyntheticTopicTask, generate_topic_dataset, write_jsonl
@@ -37,18 +41,37 @@ def workdir(tmp_path):
     return tmp_path, config, data
 
 
+RANDOM_MODEL_MEMORY = SpartanConfig(d=16, num_parents=4, children_per_parent=2, top_k=2)
+
+
 def random_model(seed, kind="spartan"):
     rng = make_rng(seed)
     cfg = BackboneConfig(d=16, layers=2, heads=2, ffn_dim=24,
                          vocab_hash_buckets=64, max_seq_len=8)
     params = init_backbone(cfg, 3, rng)
-    plugin = make_plugin(kind, cfg, rng,
-                         spartan_cfg=SpartanConfig(d=16, num_parents=4,
-                                                   children_per_parent=2, top_k=2))
+    plugin = make_plugin(kind, cfg, rng, spartan_cfg=RANDOM_MODEL_MEMORY)
     model = Model(cfg, params, plugin)
     for name, arr, _ in iter_named_tensors(model):
         arr[...] = rng.normal(size=arr.shape)
     return model
+
+
+def read_checkpoint_file(path):
+    """(header, {name: float64 array}) of a checkpoint file, parsed without
+    the loader: a JSON line, then each listed tensor as little-endian float64."""
+    with open(path, "rb") as fh:
+        header = json.loads(fh.readline())
+        arrays = {name: np.fromfile(fh, "<f8", math.prod(shape)).reshape(shape)
+                  for name, shape in header["tensors"]}
+        assert fh.read() == b""
+    return header, arrays
+
+
+def write_checkpoint_file(path, header, arrays):
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        for arr in arrays.values():
+            fh.write(np.asarray(arr, "<f8").tobytes())
 
 
 class TestCheckpoint:
@@ -84,8 +107,55 @@ class TestCheckpoint:
         model = random_model(0)
         model.params.head_bias[1] = np.inf
         with pytest.raises(NumericalError, match="head.bias"):
-            save_checkpoint(tmp_path / "m.json", model, seed=0)
-        assert not (tmp_path / "m.json").exists()
+            save_checkpoint(tmp_path / "m.ckpt", model, seed=0)
+        assert not (tmp_path / "m.ckpt").exists()
+
+    def test_float32_model_is_written_widened_and_loads_exactly(self, tmp_path):
+        model = random_model(4)
+        for _, owner, fname, _ in tensor_slots(model):
+            setattr(owner, fname, getattr(owner, fname).astype(np.float32))
+        save_checkpoint(tmp_path / "m.ckpt", model, seed=4)
+        header, arrays = read_checkpoint_file(tmp_path / "m.ckpt")
+        loaded, _ = load_checkpoint(tmp_path / "m.ckpt")
+        named = list(iter_named_tensors(model))
+        assert header["tensors"] == [[name, list(arr.shape)] for name, arr, _ in named]
+        for (name, arr, _), (_, back, _) in zip(named, iter_named_tensors(loaded)):
+            widened = arr.astype(np.float64)
+            assert arrays[name].tobytes() == widened.tobytes(), name
+            assert back.dtype == np.float64 and back.tobytes() == widened.tobytes(), name
+
+    @pytest.mark.parametrize("kind", ["none", "spartan", "adapter", "adapterx2"])
+    def test_file_size_is_header_plus_eight_bytes_per_counted_scalar(self, tmp_path, kind):
+        # ties the parameter accounting to the bytes actually written
+        model = random_model(5, kind)
+        path = tmp_path / f"{kind}.ckpt"
+        save_checkpoint(path, model, seed=5)
+        with open(path, "rb") as fh:
+            header_line = fh.readline()
+        counts = params_mod.count_from_shapes(model.cfg, 3, kind, spartan_cfg=RANDOM_MODEL_MEMORY)
+        assert path.stat().st_size == len(header_line) + 8 * counts["total"]
+
+    def test_save_and_load_peak_memory_stays_near_the_model_size(self, tmp_path):
+        # the shape of perfbench's finetune workload: 1,120,260 float64 scalars
+        cfg = BackboneConfig(d=128, layers=4, heads=4, ffn_dim=256,
+                             vocab_hash_buckets=4096, max_seq_len=64)
+        rng = make_rng(0)
+        model = Model(cfg, init_backbone(cfg, 4, rng), make_plugin(
+            "spartan", cfg, rng, spartan_cfg=SpartanConfig(d=128, num_parents=16,
+                                                           children_per_parent=3, top_k=8)))
+        tensor_bytes = sum(arr.nbytes for _, arr, _ in iter_named_tensors(model))
+        assert tensor_bytes == 8 * 1_120_260
+        path = tmp_path / "finetune.ckpt"
+        tracemalloc.start()
+        try:
+            save_checkpoint(path, model, seed=0)
+            loaded, _ = load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert loaded.params.token_emb.tobytes() == model.params.token_emb.tobytes()
+        # the loaded model is 1x; the rest is the header and per-tensor temporaries
+        assert peak <= 1.5 * tensor_bytes, (peak, tensor_bytes)
 
 
 class TestTrainCommand:
@@ -117,8 +187,8 @@ class TestTrainCommand:
         code = main(["train", "--config", str(config), "--data", str(data),
                      "--out", str(out), "--few-shot", "8", "--steps", "2"])
         assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["config"]["num_train_examples"] == 8
+        header, _ = read_checkpoint_file(out)
+        assert header["config"]["num_train_examples"] == 8
 
     def test_few_shot_two_hundred_instances(self, tmp_path):
         # the documented few-shot protocol size, stratified over the labels
@@ -131,8 +201,8 @@ class TestTrainCommand:
         code = main(["train", "--config", str(config), "--data", str(data),
                      "--out", str(out), "--few-shot", "200", "--steps", "1"])
         assert code == 0
-        payload = json.loads(out.read_text())
-        assert payload["config"]["num_train_examples"] == 200
+        header, _ = read_checkpoint_file(out)
+        assert header["config"]["num_train_examples"] == 200
 
     def test_missing_data_file_exits_2_and_names_path(self, workdir, capsys):
         tmp, config, _ = workdir
@@ -161,6 +231,24 @@ class TestTrainCommand:
                      "--out", str(tmp / "x.json")])
         assert code == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, reason", [
+        ('{"text": "ok", "label": 1', "invalid JSON"),
+        ('{"nope": 1}', 'must have "text" and "label" fields'),
+        ('{"text": 7, "label": 1}', '"text" must be a string'),
+        ('{"text": "ok", "label": 1.5}', '"label" must be an integer or string'),
+        ('{"text": "ok", "label": "mystery"}', "missing from label manifest"),
+    ], ids=["invalid-json", "missing-field", "text-not-string", "label-type", "unknown-label"])
+    def test_bad_data_line_exits_2_naming_file_and_line(self, workdir, capsys, line, reason):
+        tmp, config, _ = workdir
+        (tmp / "labels.json").write_text('{"business": 0, "sports": 1}')
+        bad = tmp / "bad.jsonl"
+        bad.write_text('{"text": "ok", "label": "sports"}\n' + line + "\n")
+        code = main(["train", "--config", str(config), "--data", str(bad),
+                     "--out", str(tmp / "x.ckpt")])
+        assert code == 2
+        _assert_one_line_error(capsys, "data error", "bad.jsonl line 2", reason)
+        assert not (tmp / "x.ckpt").exists()
 
     def test_non_utf8_jsonl_exits_2_naming_file_and_line(self, workdir, capsys):
         tmp, config, _ = workdir
@@ -440,67 +528,112 @@ class TestCheckpointLoaderErrors:
     @pytest.fixture
     def saved(self, workdir):
         tmp, config, data = workdir
-        path = tmp / "model.json"
+        path = tmp / "model.ckpt"
         save_checkpoint(path, random_model(0), seed=0)
         return path, data
 
     def _rewrite(self, path, edit):
-        payload = json.loads(path.read_text())
-        edit(payload)
-        path.write_text(json.dumps(payload))
+        """Apply edit(header, arrays) and write the file back."""
+        header, arrays = read_checkpoint_file(path)
+        edit(header, arrays)
+        write_checkpoint_file(path, header, arrays)
 
     def test_corrupt_file(self, saved, capsys):
         path, data = saved
-        path.write_text(path.read_text()[:200])
+        path.write_bytes(path.read_bytes()[:200])
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", "not valid JSON")
 
     def test_missing_key(self, saved, capsys):
         path, data = saved
-        self._rewrite(path, lambda p: p["config"].pop("num_labels"))
+        self._rewrite(path, lambda h, _: h["config"].pop("num_labels"))
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", "num_labels")
 
     def test_unknown_plugin_kind(self, saved, capsys):
         path, data = saved
-        self._rewrite(path, lambda p: p["config"]["plugin"].update(kind="mystery"))
+        self._rewrite(path, lambda h, _: h["config"]["plugin"].update(kind="mystery"))
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", "mystery")
 
-    def test_flipped_trainable_flag(self, saved, capsys):
+    @pytest.mark.parametrize("change, word", [
+        ("renamed", "backbone.layer0.wq"), ("reshaped", "head.bias"),
+        ("dropped", "plugin.layer1.child_values"), ("extra", "its end"),
+    ])
+    def test_header_tensors_disagreeing_with_schema(self, saved, capsys, change, word):
         path, data = saved
-        self._rewrite(path, lambda p: p["tensors"]["backbone.layer0.wq"].update(trainable=True))
+
+        def edit(header, arrays):
+            listed = header["tensors"]
+            names = [name for name, _ in listed]
+            if change == "renamed":
+                listed[names.index("backbone.layer0.wq")][0] = "backbone.layer0.wx"
+            elif change == "reshaped":
+                listed[names.index("head.bias")][1] = [1, 3]
+            elif change == "dropped":
+                listed.pop()
+            else:
+                listed.append(["plugin.layer2.parents", [4, 16]])
+
+        self._rewrite(path, edit)
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
-        _assert_one_line_error(capsys, "data error", "backbone.layer0.wq")
+        _assert_one_line_error(capsys, "data error", "header tensors disagree", word)
 
     def test_nan_token_is_a_data_error(self, saved, capsys):
         path, data = saved
-        self._rewrite(path, lambda p: p["tensors"]["head.bias"]["values"].__setitem__(
-            0, float("nan")))
-        assert "NaN" in path.read_text()
+        self._rewrite(path, lambda h, _: h.update(seed=float("nan")))
+        assert b"NaN" in path.read_bytes().split(b"\n", 1)[0]
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", "NaN")
 
     def test_overflowing_value_is_a_data_error(self, saved, capsys):
         path, data = saved
-        self._rewrite(path, lambda p: p["tensors"]["head.bias"]["values"].__setitem__(
-            0, 12345.5))
-        path.write_text(path.read_text().replace("12345.5", "1e999"))
+        self._rewrite(path, lambda _, arrays: arrays["head.bias"].__setitem__(1, np.inf))
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", "head.bias", "non-finite")
 
+    def test_nan_bytes_are_a_data_error(self, saved, capsys):
+        path, data = saved
+        self._rewrite(path, lambda _, arrays: arrays["plugin.layer0.parents"].__setitem__(
+            (0, 0), np.nan))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "plugin.layer0.parents", "non-finite")
+
     def test_tensors_not_an_object(self, saved, capsys):
         path, data = saved
-        self._rewrite(path, lambda p: p.update(tensors=1.5))
+        self._rewrite(path, lambda h, _: h.update(tensors=1.5))
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", "tensors")
+
+    def test_truncated_body(self, saved, capsys):
+        path, data = saved
+        path.write_bytes(path.read_bytes()[:-1])
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "body ends inside tensor",
+                               "plugin.layer1.child_values")
+
+    def test_trailing_byte(self, saved, capsys):
+        path, data = saved
+        path.write_bytes(path.read_bytes() + b"\0")
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "bytes after the last tensor")
+
+    def test_version_1_file_is_refused(self, saved, capsys):
+        # the earlier all-JSON format: one object, each tensor's values inline
+        path, data = saved
+        header, arrays = read_checkpoint_file(path)
+        tensors = {name: {"shape": list(arr.shape), "dtype": "float64", "trainable": False,
+                          "values": arr.ravel().tolist()} for name, arr in arrays.items()}
+        path.write_text(json.dumps({**header, "format_version": 1, "tensors": tensors}) + "\n")
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "unsupported checkpoint format version 1")
 
     @pytest.mark.parametrize("section, field, value", [
         ("backbone", "heads", True), ("backbone", "layers", 1.5), ("plugin", "top_k", 0),
     ])
     def test_bad_count_in_config_echo(self, saved, capsys, section, field, value):
         path, data = saved
-        self._rewrite(path, lambda p: p["config"][section].update({field: value}))
+        self._rewrite(path, lambda h, _: h["config"][section].update({field: value}))
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", field)
 
@@ -510,23 +643,17 @@ class TestCheckpointLoaderErrors:
         zeros = data.with_name("zeros.jsonl")  # all labels 0: in range for a one-label head
         write_jsonl(zeros, [Example(f"text {i}", 0) for i in range(4)])
 
-        def shrink_head(payload):
-            payload["config"]["num_labels"] = num_labels
-            weight = payload["tensors"]["head.weight"]
-            d = weight["shape"][1]
-            weight.update(shape=[num_labels, d], values=weight["values"][:num_labels * d])
-            bias = payload["tensors"]["head.bias"]
-            bias.update(shape=[num_labels], values=bias["values"][:num_labels])
+        def shrink_head(header, arrays):
+            header["config"]["num_labels"] = num_labels
+            for entry in header["tensors"]:
+                if entry[0] in ("head.weight", "head.bias"):
+                    entry[1][0] = num_labels
+                    arrays[entry[0]] = arrays[entry[0]][:num_labels]
 
         self._rewrite(path, shrink_head)
         assert main(["eval", "--model", str(path), "--data", str(zeros)]) == 2
         _assert_one_line_error(capsys, "data error", "num_labels must be")
 
-    def test_dtype_disagreeing_with_schema(self, saved, capsys):
-        path, data = saved
-        self._rewrite(path, lambda p: p["tensors"]["head.bias"].update(dtype="float32"))
-        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
-        _assert_one_line_error(capsys, "data error", "head.bias")
 
 
 class TestConfigValidation:

@@ -1,6 +1,7 @@
-"""Properties: a config or checkpoint with one JSON value replaced, and a data
-file or checkpoint with damaged bytes, never crash the CLI. `train` and
-`eval` exit 0, 1, 2 or 3, with at most one line on stderr and no traceback.
+"""Properties: a config or checkpoint header with one JSON value replaced, and
+a data file or checkpoint with damaged bytes, never crash the CLI. `train`
+and `eval` exit 0, 1, 2 or 3, with at most one line on stderr and no
+traceback.
 
 Replacement integers stay small so that no mutated shape allocates much, and
 `train` runs two steps whatever the config says.
@@ -38,15 +39,13 @@ JSON_VALUES = st.recursive(
 
 
 def value_paths(value, path=()):
-    """Every path into a JSON document, containers included. Of a tensor's
-    `values` list only the first element is visited."""
+    """Every path into a JSON document, containers included."""
     yield path
     if isinstance(value, dict):
         for key, item in value.items():
             yield from value_paths(item, path + (key,))
     elif isinstance(value, list):
-        items = value[:1] if path[-1:] == ("values",) else value
-        for i, item in enumerate(items):
+        for i, item in enumerate(value):
             yield from value_paths(item, path + (i,))
 
 
@@ -66,7 +65,7 @@ def replaced(document, path, value):
 def originals(tmp_path_factory):
     """Paths of the unmutated inputs: training data and a checkpoint trained on it."""
     tmp = tmp_path_factory.mktemp("fuzz")
-    config, data, model = tmp / "config.json", tmp / "train.jsonl", tmp / "model.json"
+    config, data, model = tmp / "config.json", tmp / "train.jsonl", tmp / "model.ckpt"
     config.write_text(json.dumps(CONFIG))
     task = SyntheticTopicTask(num_topics=2, examples_per_topic=4, words_per_example=4)
     write_jsonl(data, generate_topic_dataset(task, make_rng(0)))
@@ -110,12 +109,14 @@ def damaged(raw: bytes, draw) -> bytes:
 @given(command=st.sampled_from(["train", "eval"]), draw=st.data())
 def test_one_replaced_value_never_crashes(originals, command, draw):
     data, model = originals
-    document = CONFIG if command == "train" else json.loads(model.read_text())
+    # of a checkpoint only the header line is edited; its tensor bytes stay
+    header, body = model.read_bytes().split(b"\n", 1)
+    document, tail = (CONFIG, b"") if command == "train" else (json.loads(header), b"\n" + body)
     path = draw.draw(st.sampled_from(list(value_paths(document))), label="path")
     value = draw.draw(JSON_VALUES, label="value")
     with tempfile.TemporaryDirectory() as tmp:
         mutated = Path(tmp) / "input.json"
-        mutated.write_text(json.dumps(replaced(document, path, value)))
+        mutated.write_bytes(json.dumps(replaced(document, path, value)).encode() + tail)
         if command == "train":
             # --steps keeps a run short whatever the file says; the file's
             # own train section is still checked
@@ -134,7 +135,7 @@ def test_damaged_bytes_never_crash(originals, command, draw):
     data, model = originals
     raw = damaged((data if command == "train" else model).read_bytes(), draw)
     with tempfile.TemporaryDirectory() as tmp:
-        mutated = Path(tmp) / ("train.jsonl" if command == "train" else "model.json")
+        mutated = Path(tmp) / ("train.jsonl" if command == "train" else "model.ckpt")
         mutated.write_bytes(raw)
         if command == "train":
             argv = ["train", "--data", str(mutated), "--config", str(data.parent / "config.json"),

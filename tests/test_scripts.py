@@ -1,5 +1,6 @@
 """Smoke tests: each script in scripts/ runs to exit 0 in a fresh interpreter."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -32,3 +33,15 @@ def test_specialization_experiment_runs_end_to_end(tmp_path):
 
 def test_throughput_sweep_help_exits_0(tmp_path):
     assert "usage" in run_script("throughput_sweep.py", "--help", cwd=tmp_path)
+
+
+def test_throughput_sweep_measures_every_arm_at_toy_shapes(tmp_path):
+    arms = ["spartan-K8", "adapter-b64", "adapter-b32-macmatched", "adapterx2-b64",
+            "spartan-K2-sweep", "spartan-K4-sweep", "spartan-K8-sweep", "spartan-K16-sweep"]
+    out = run_script("throughput_sweep.py", "--d", "32", "--batch", "2", "--seq-len", "4",
+                     "--rounds", "1", "--measure-seconds", "1", "--out", "sweep.csv",
+                     cwd=tmp_path)
+    printed = [line.split()[0] for line in out.splitlines() if "instances/min" in line]
+    assert printed == arms, out
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        assert [row["arm"] for row in csv.DictReader(fh)] == arms
