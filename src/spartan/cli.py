@@ -13,6 +13,8 @@ import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis as analysis_mod
 from . import bench as bench_mod
 from . import params as params_mod
@@ -171,7 +173,10 @@ def cmd_eval(args) -> int:
     model, meta = load_checkpoint(args.model)
     examples = load_jsonl(args.data, label_map=meta["label_manifest"] or None)
     _check_labels(examples, model.params.num_labels, args.data)
-    acc = evaluate(model, examples)
+    # a loaded checkpoint is finite, but a huge value can still overflow:
+    # numpy raises FloatingPointError (exit 3) instead of printing warnings
+    with np.errstate(over="raise", invalid="raise"):
+        acc = evaluate(model, examples)
     payload = {"accuracy": acc, "examples": len(examples), "model": str(args.model)}
     print(f"accuracy {acc:.4f}")
     print(json.dumps(payload))
@@ -215,7 +220,8 @@ def cmd_analyze(args) -> int:
     model, meta = load_checkpoint(args.model)
     examples = load_jsonl(args.data, label_map=meta["label_manifest"] or None)
     _check_labels(examples, model.params.num_labels, args.data)
-    records = analysis_mod.collect_selections(model, examples, args.layer)
+    with np.errstate(over="raise", invalid="raise"):  # as in cmd_eval
+        records = analysis_mod.collect_selections(model, examples, args.layer)
     stats = analysis_mod.specialization_stats(records)
     analysis_mod.write_selection_csv(str(args.out) + ".csv", records)
     analysis_mod.write_summary_json(str(args.out) + ".json", stats)

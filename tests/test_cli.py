@@ -22,6 +22,9 @@ from spartan.memory import SpartanConfig
 from spartan.numerics import make_rng
 from spartan.training import NumericalError, TrainResult
 
+# a numpy warning on any CLI path fails the test instead of being captured
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 TINY_CONFIG = {
     "seed": 0,
     "backbone": {"d": 32, "layers": 2, "heads": 2, "ffn_dim": 48,
@@ -345,6 +348,27 @@ class TestEvalCommand:
         from spartan.training import evaluate
         model, _ = load_checkpoint(out)
         assert reported == evaluate(model, load_jsonl(data))
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_huge_finite_weight_exits_3_with_one_line(self, workdir, command):
+        # a subprocess, because pytest captures the numpy warnings this must not print
+        tmp, config, data = workdir
+        out = tmp / "model.ckpt"
+        assert main(["train", "--config", str(config), "--data", str(data), "--out", str(out),
+                     "--steps", "1"]) == 0
+        header, arrays = read_checkpoint_file(out)
+        first = next(iter(arrays.values()))
+        first.flat[0::2], first.flat[1::2] = 1e300, -1e300
+        write_checkpoint_file(out, header, arrays)
+        argv = {"eval": [], "analyze": ["--out", str(tmp / "analysis")]}[command]
+        run = subprocess.run(
+            [sys.executable, "-m", "spartan.cli", command, "--model", str(out),
+             "--data", str(data), *argv],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert run.returncode == 3, run.stderr
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("numerical failure: "), run.stderr
 
     def test_empty_data_exits_2(self, workdir, capsys):
         tmp, config, data = workdir

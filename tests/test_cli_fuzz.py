@@ -20,6 +20,9 @@ from spartan.cli import main
 from spartan.data import SyntheticTopicTask, generate_topic_dataset, write_jsonl
 from spartan.numerics import make_rng
 
+# a numpy warning on any CLI path fails the test instead of being captured
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 CONFIG = {
     "seed": 0,
     "num_labels": None,

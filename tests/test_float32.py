@@ -46,6 +46,17 @@ class TestNumericsOps:
         out, cdf = gelu_cached(x)
         assert all_float32([out, cdf, gelu_grad_cached(x, cdf)])
 
+    def test_gelu_grad_matches_float32_finite_differences(self):
+        # float32 end to end: a cdf error of 2.5e-7 at |x| <= 4 on both sides,
+        # over 2h = 2^-6, bounds the difference by 1.5e-4; the truncation
+        # error h^2/6 times gelu's largest third derivative is below 1e-5
+        x = normal32(make_rng(6), 2000)
+        h = F32(2 ** -7)
+        fd = (gelu_cached(x + h)[0] - gelu_cached(x - h)[0]) / (2 * h)
+        grad = gelu_grad_cached(x, gelu_cached(x)[1])
+        assert all_float32([fd, grad])
+        assert np.abs(grad - fd).max() <= 2e-4
+
     def test_layer_norm(self):
         x = normal32(make_rng(1), 6, 5)
         out, (xhat, inv_std) = layer_norm(x, np.ones(5, F32), np.zeros(5, F32))

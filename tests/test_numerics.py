@@ -1,6 +1,9 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings, strategies as st
 
 import reference
@@ -8,6 +11,7 @@ from spartan.memory import SpartanConfig, forward_batch, init_params
 from spartan.numerics import (
     ParameterError,
     ShapeError,
+    _erf32,
     gelu_cached,
     gelu_grad_cached,
     layer_norm,
@@ -201,8 +205,60 @@ class TestNeuralOps:
         fd = (gelu_cached(x + h)[0] - gelu_cached(x - h)[0]) / (2 * h)
         assert np.max(np.abs(gelu_grad_cached(x, gelu_cached(x)[1]) - fd)) <= 1e-8
 
+    def test_float64_gelu_is_scipys_erf_bit_for_bit(self):
+        x = make_rng(6).normal(size=(7, 300)) * 3
+        out, cdf = gelu_cached(x)
+        expect = 0.5 * (1 + scipy.special.erf(x / math.sqrt(2)))
+        assert np.array_equal(cdf, expect)
+        assert np.array_equal(out, x * expect)
+
     def test_layer_norm_normalizes(self):
         x = make_rng(5).normal(size=(6, 32)) * 3 + 1
         out, _ = layer_norm(x, np.ones(32), np.zeros(32))
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-12)
         assert np.allclose(out.std(axis=-1), 1.0, atol=1e-3)  # eps-limited
+
+
+class TestErf32:
+    """The float32 erf behind gelu_cached's float32 path."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        # every 1e-5 over [-10, 10], rounded to float32: past the clamp at +-4
+        # and through the tails where erf rounds to +-1
+        return np.linspace(-10, 10, 2_000_001).astype(np.float32)
+
+    def test_within_5e_7_of_float64_erf(self, grid):
+        err = np.abs(_erf32(grid) - scipy.special.erf(grid.astype(np.float64)))
+        assert err.max() <= 5e-7
+
+    def test_odd_bit_for_bit(self, grid):
+        x = np.concatenate([grid, np.float32([0.0, 1e-30, 3e38, np.inf])])
+        assert np.array_equal(_erf32(-x).view(np.uint32), (-_erf32(x)).view(np.uint32))
+
+    def test_cdf_in_unit_interval_without_fp_warnings(self, grid):
+        x = np.concatenate([grid, np.float32([-3.4e38, -1e30, 1e30, 3.4e38])])
+        with np.errstate(all="raise"):
+            out, cdf = gelu_cached(x)
+        assert 0.0 <= cdf.min() and cdf.max() <= 1.0
+        assert np.isfinite(out).all()
+
+    def test_infinities_and_nan(self):
+        x = np.float32([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):  # gelu(-inf) = -inf * 0
+            out, cdf = gelu_cached(x)
+        assert cdf[0] == 1.0 and cdf[1] == 0.0 and np.isnan(cdf[2])
+        assert out[0] == np.inf and np.isnan(out[2])
+
+    def test_blocks_give_the_values_of_single_elements(self):
+        # 2.5 blocks, so a full and a partial block meet in one call
+        x = make_rng(7).normal(size=(5, 32768)).astype(np.float32) * 3
+        got = _erf32(x)
+        assert got.shape == x.shape and got.dtype == np.float32
+        some = make_rng(8).integers(0, x.size, size=500)
+        singles = np.array([_erf32(x.reshape(-1)[i:i + 1])[0] for i in some])
+        assert np.array_equal(got.reshape(-1)[some], singles)
+
+    def test_non_contiguous_input(self):
+        x = make_rng(9).normal(size=(40, 30)).astype(np.float32)
+        assert np.array_equal(_erf32(x.T), _erf32(np.ascontiguousarray(x.T)))
