@@ -10,6 +10,11 @@ that produces gradients for exactly those trainable tensors.
 Hidden states run as one flat (B·S, d) token matrix, so each projection, norm
 and plugin is one 2-D product over all tokens, not B per-sequence ones; only
 attention's scores and context see (B, H, S, dh) heads, per sequence.
+No function here writes into its arguments or into arrays it returned
+earlier: every in-place pass (bias and residual adds, scaling, the attention
+backward) works on an array the function allocated itself, and does the same
+IEEE operations in the same order as the plain expression, so results are
+bitwise those of `h @ w.T + b`, `h + a` and the rest.
 
 `PLUGINS` gives each plugin kind its config and params types and its stack
 depth; a layer's plugin entry is a tuple of that many instances, each with
@@ -258,17 +263,25 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(0, 2, 1, 3).reshape(-1, x.shape[1] * x.shape[3])
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x @ w.T + b, the bias added in place."""
+    y = x @ w.T
+    y += b
+    return y
+
+
 def _attention_forward(lw: LayerWeights, h: np.ndarray, b: int, heads: int):
-    q = _split_heads(h @ lw.wq.T + lw.bq, b, heads)
-    k = _split_heads(h @ lw.wk.T + lw.bk, b, heads)
-    v = _split_heads(h @ lw.wv.T + lw.bv, b, heads)
+    q = _split_heads(_affine(h, lw.wq, lw.bq), b, heads)
+    k = _split_heads(_affine(h, lw.wk, lw.bk), b, heads)
+    v = _split_heads(_affine(h, lw.wv, lw.bv), b, heads)
     scale = float(1.0 / np.sqrt(q.shape[-1]))  # a Python float keeps f32 in f32 (NEP 50)
-    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= scale
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
     scores /= scores.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(scores @ v)
-    return ctx @ lw.wo.T + lw.bo, (q, k, v, scores, scale)
+    return _affine(ctx, lw.wo, lw.bo), (q, k, v, scores, scale)
 
 
 def _attention_backward(lw: LayerWeights, cache, d_out: np.ndarray) -> np.ndarray:
@@ -276,23 +289,29 @@ def _attention_backward(lw: LayerWeights, cache, d_out: np.ndarray) -> np.ndarra
     d_ctx = _split_heads(d_out @ lw.wo, q.shape[0], q.shape[1])
     d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
     d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
-    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
-    d_q = (d_scores @ k) * scale
-    d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
-    return (_merge_heads(d_q) @ lw.wq
-            + _merge_heads(d_k) @ lw.wk
-            + _merge_heads(d_v) @ lw.wv)
+    d_attn -= (d_attn * attn).sum(axis=-1, keepdims=True)
+    d_attn *= attn  # now d_scores
+    d_q = d_attn @ k
+    d_q *= scale
+    d_k = d_attn.transpose(0, 1, 3, 2) @ q
+    d_k *= scale
+    d_in = _merge_heads(d_q) @ lw.wq
+    d_in += _merge_heads(d_k) @ lw.wk
+    d_in += _merge_heads(d_v) @ lw.wv
+    return d_in
 
 
 def _ffn_forward(lw: LayerWeights, h: np.ndarray):
-    u = h @ lw.w1.T + lw.b1
+    u = _affine(h, lw.w1, lw.b1)
     act, cdf = gelu_cached(u)
-    return act @ lw.w2.T + lw.b2, (u, cdf)
+    return _affine(act, lw.w2, lw.b2), (u, cdf)
 
 
 def _ffn_backward(lw: LayerWeights, cache, d_out: np.ndarray) -> np.ndarray:
     u, cdf = cache
-    return (d_out @ lw.w2 * gelu_grad_cached(u, cdf)) @ lw.w1
+    d_u = d_out @ lw.w2
+    d_u *= gelu_grad_cached(u, cdf)
+    return d_u @ lw.w1
 
 
 def _stack_tag(i: int, depth: int) -> str:
@@ -339,15 +358,19 @@ def encode(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
     if capture_routing and model.plugin.kind != "spartan":
         raise ParameterError("routing capture requires the spartan plugin")
 
-    h = (model.params.token_emb[ids] + model.params.pos_emb[:s]).reshape(b * s, cfg.d)
+    h = model.params.token_emb[ids]
+    h += model.params.pos_emb[:s]
+    h = h.reshape(b * s, cfg.d)
     layer_caches = []
     routing = [] if capture_routing else None
     collect_plugin = collect or capture_routing
     for l, lw in enumerate(model.params.layers):
         a, attn_cache = _attention_forward(lw, h, b, cfg.heads)
-        h1, ln1_cache = layer_norm(h + a, lw.ln1_gain, lw.ln1_bias)
+        a += h
+        h1, ln1_cache = layer_norm(a, lw.ln1_gain, lw.ln1_bias)
         f, ffn_cache = _ffn_forward(lw, h1)
-        h2, ln2_cache = layer_norm(h1 + f, lw.ln2_gain, lw.ln2_bias)
+        f += h1
+        h2, ln2_cache = layer_norm(f, lw.ln2_gain, lw.ln2_bias)
         h, ptrace = _plugin_forward(model.plugin, l, h2, counter, collect_plugin)
         if capture_routing:
             routing.append(ptrace[0].parent_probs[np.arange(b) * s])
@@ -368,7 +391,7 @@ def classify(params: BackboneParams, pooled: np.ndarray) -> np.ndarray:
     if pooled.shape[-1] != params.head_weight.shape[1]:
         raise ShapeError(
             f"pooled dim {pooled.shape[-1]} != head dim {params.head_weight.shape[1]}")
-    return pooled @ params.head_weight.T + params.head_bias
+    return _affine(pooled, params.head_weight, params.head_bias)
 
 
 def classify_forward(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
@@ -412,9 +435,11 @@ def classify_backward(model: Model, fw_state, d_logits: np.ndarray) -> dict[str,
         if l == 0:
             break  # nothing trainable below the first layer's plugin
         d_r2 = layer_norm_backward(ln2_cache, lw.ln2_gain, d_h)
-        d_h1 = d_r2 + _ffn_backward(lw, ffn_cache, d_r2)
+        d_h1 = _ffn_backward(lw, ffn_cache, d_r2)
+        d_h1 += d_r2
         d_r1 = layer_norm_backward(ln1_cache, lw.ln1_gain, d_h1)
-        d_h = d_r1 + _attention_backward(lw, attn_cache, d_r1)
+        d_h = _attention_backward(lw, attn_cache, d_r1)
+        d_h += d_r1
     return grads
 
 

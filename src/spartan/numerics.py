@@ -6,7 +6,11 @@ Training and verification paths use float64 throughout; the benchmark path may
 run in float32, so every op here preserves the dtype of its inputs. gelu is the
 erf form: float64 input uses scipy's erf, float32 input a float32 rational
 approximation within 5e-7 of the exact erf, computed in numpy array passes
-rather than scipy's per-element loop.
+rather than scipy's per-element loop. No function here writes into its
+arguments or into arrays it returned earlier: in-place passes touch only
+arrays the function allocated, and each does the same IEEE operations in the
+same order as the plain expression it stands for, so results are bitwise
+those of that expression.
 
 Randomness comes from numpy's PCG64 generator: a fixed, documented 64-bit
 statistical PRNG whose draw sequence for a given seed is identical across runs
@@ -186,13 +190,22 @@ def gelu_cached(x: np.ndarray):
         cdf += 1.0
         cdf *= 0.5
     else:
-        cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+        cdf = x / _SQRT2
+        erf(cdf, out=cdf)
+        cdf += 1.0
+        cdf *= 0.5
     return x * cdf, cdf
 
 
 def gelu_grad_cached(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
-    """gelu_grad given the cdf cached by gelu_cached."""
-    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+    """gelu_grad given the cdf cached by gelu_cached: cdf + x * pdf(x)."""
+    grad = np.multiply(x, -0.5)
+    grad *= x
+    np.exp(grad, out=grad)
+    grad *= _INV_SQRT_2PI
+    grad *= x
+    grad += cdf
+    return grad
 
 
 def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS):
@@ -210,10 +223,13 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = L
 def layer_norm_backward(cache, gain: np.ndarray, d_out: np.ndarray, want_param_grads: bool = False):
     """Gradient of layer_norm w.r.t. its input, and optionally gain/bias."""
     xhat, inv_std = cache
-    d_xhat = d_out * gain
-    m1 = d_xhat.mean(axis=-1, keepdims=True)
-    m2 = (d_xhat * xhat).mean(axis=-1, keepdims=True)
-    d_x = inv_std * (d_xhat - m1 - xhat * m2)
+    d_x = d_out * gain  # d_xhat, turned into d_x in place
+    m1 = d_x.mean(axis=-1, keepdims=True)
+    scratch = d_x * xhat
+    m2 = scratch.mean(axis=-1, keepdims=True)
+    d_x -= m1
+    d_x -= np.multiply(xhat, m2, out=scratch)
+    d_x *= inv_std
     if not want_param_grads:
         return d_x
     axes = tuple(range(d_out.ndim - 1))

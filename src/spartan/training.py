@@ -101,14 +101,22 @@ def adam_step(state: OptimizerState, model: Model, grads: dict[str, np.ndarray],
         m = state.m[name]
         v = state.v[name]
         with np.errstate(all="ignore"):  # an overflow is reported by the check below
+            scratch = np.multiply(g, 1.0 - cfg.beta1)
             m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
+            m += scratch
+            np.multiply(g, g, out=scratch)
+            scratch *= 1.0 - cfg.beta2
             v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+            v += scratch
+            np.divide(v, bc2, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += cfg.epsilon
+            update = m / bc1
+            update /= scratch
             if cfg.weight_decay:
-                update = update + cfg.weight_decay * arr
-            arr -= cfg.learning_rate * update
+                update += np.multiply(arr, cfg.weight_decay, out=scratch)
+            update *= cfg.learning_rate
+            arr -= update
         if not (np.isfinite(m).all() and np.isfinite(v).all() and np.isfinite(arr).all()):
             raise NumericalError(f"non-finite Adam moment or update for {name} at step {t - 1}")
 

@@ -1,9 +1,11 @@
 """Plain reference implementations that the tests compare the package against.
 
 Each is written from the definition, one position or one row at a time, and
-shares no code with `spartan`'s batched paths. None checks its inputs: a test
-hands them well-formed arrays. The initializers write every tensor out by
-hand, in the order the package draws them, without the tensor schema.
+shares no code with `spartan`'s batched paths, except the training-path
+section: those are the package's own functions written as plain expressions.
+None checks its inputs: a test hands them well-formed arrays. The
+initializers write every tensor out by hand, in the order the package draws
+them, without the tensor schema.
 """
 
 import math
@@ -19,9 +21,14 @@ from spartan.backbone import (
     LayerWeights,
     Model,
     PluginSpec,
+    _merge_heads,
+    _plugin_backward,
+    _plugin_forward,
+    _split_heads,
     iter_named_tensors,
 )
 from spartan.memory import SpartanConfig, SpartanGradients, SpartanLayerParams
+from spartan.numerics import layer_norm
 
 
 def softmax_stable(logits):
@@ -45,6 +52,157 @@ def gelu_grad(x):
     """d gelu / dx = Phi(x) + x * phi(x)."""
     cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
     return cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+
+
+# --- the training path as plain expressions -------------------------------
+# Each function below is a package function on the training path written as
+# plain expressions, each allocating its result. The package's in-place passes
+# must match them bit for bit.
+
+_SQRT2 = float(np.sqrt(2.0))
+_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+
+
+def gelu_cached(x):
+    """(gelu, cdf) of a float64 array."""
+    cdf = 0.5 * (1.0 + erf(x / _SQRT2))
+    return x * cdf, cdf
+
+
+def gelu_grad_cached(x, cdf):
+    """gelu_grad given the cdf of gelu_cached."""
+    return cdf + x * (_INV_SQRT_2PI * np.exp(-0.5 * x * x))
+
+
+def layer_norm_backward(cache, gain, d_out, want_param_grads=False):
+    """Gradient of the package's layer_norm w.r.t. its input, and optionally gain/bias."""
+    xhat, inv_std = cache
+    d_xhat = d_out * gain
+    m1 = d_xhat.mean(axis=-1, keepdims=True)
+    m2 = (d_xhat * xhat).mean(axis=-1, keepdims=True)
+    d_x = inv_std * (d_xhat - m1 - xhat * m2)
+    if not want_param_grads:
+        return d_x
+    axes = tuple(range(d_out.ndim - 1))
+    d_gain = (d_out * xhat).sum(axis=axes)
+    d_bias = d_out.sum(axis=axes)
+    return d_x, d_gain, d_bias
+
+
+def attention_forward(lw, h, b, heads):
+    q = _split_heads(h @ lw.wq.T + lw.bq, b, heads)
+    k = _split_heads(h @ lw.wk.T + lw.bk, b, heads)
+    v = _split_heads(h @ lw.wv.T + lw.bv, b, heads)
+    scale = float(1.0 / np.sqrt(q.shape[-1]))
+    scores = (q @ k.transpose(0, 1, 3, 2)) * scale
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= scores.sum(axis=-1, keepdims=True)
+    ctx = _merge_heads(scores @ v)
+    return ctx @ lw.wo.T + lw.bo, (q, k, v, scores, scale)
+
+
+def attention_backward(lw, cache, d_out):
+    q, k, v, attn, scale = cache
+    d_ctx = _split_heads(d_out @ lw.wo, q.shape[0], q.shape[1])
+    d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
+    d_v = attn.transpose(0, 1, 3, 2) @ d_ctx
+    d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+    d_q = (d_scores @ k) * scale
+    d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
+    return (_merge_heads(d_q) @ lw.wq
+            + _merge_heads(d_k) @ lw.wk
+            + _merge_heads(d_v) @ lw.wv)
+
+
+def ffn_forward(lw, h, gelu=gelu_cached):
+    """gelu is the (gelu, cdf) function to run: this module's float64 one,
+    or the package's, whose float32 branch has no plain form."""
+    u = h @ lw.w1.T + lw.b1
+    act, cdf = gelu(u)
+    return act @ lw.w2.T + lw.b2, (u, cdf)
+
+
+def ffn_backward(lw, cache, d_out):
+    u, cdf = cache
+    return (d_out @ lw.w2 * gelu_grad_cached(u, cdf)) @ lw.w1
+
+
+def encode(model, ids, counter=None, collect=False, gelu=gelu_cached):
+    """The package's encode without its input checks and routing capture."""
+    cfg = model.cfg
+    b, s = ids.shape
+    h = (model.params.token_emb[ids] + model.params.pos_emb[:s]).reshape(b * s, cfg.d)
+    layer_caches = []
+    for l, lw in enumerate(model.params.layers):
+        a, attn_cache = attention_forward(lw, h, b, cfg.heads)
+        h1, ln1_cache = layer_norm(h + a, lw.ln1_gain, lw.ln1_bias)
+        f, ffn_cache = ffn_forward(lw, h1, gelu)
+        h2, ln2_cache = layer_norm(h1 + f, lw.ln2_gain, lw.ln2_bias)
+        h, ptrace = _plugin_forward(model.plugin, l, h2, counter, collect)
+        if collect:
+            layer_caches.append((attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace))
+    return h.reshape(b, s, cfg.d), layer_caches if collect else None, None
+
+
+def classify(params, pooled):
+    pooled = np.atleast_2d(pooled)
+    return pooled @ params.head_weight.T + params.head_bias
+
+
+def classify_backward(model, fw_state, d_logits):
+    """The package's classify_backward, with this module's backward steps."""
+    bundle, pooled, (b, s, d) = fw_state
+    grads = {
+        "head.weight": d_logits.T @ pooled,
+        "head.bias": d_logits.sum(axis=0),
+    }
+    if not any(model.plugin.layers):
+        return grads
+
+    d_pooled = d_logits @ model.params.head_weight
+    if model.cfg.pooling == "first":
+        d_h = np.zeros((b * s, d), dtype=d_pooled.dtype)
+        d_h[::s] = d_pooled
+    else:
+        d_h = np.repeat(d_pooled / s, s, axis=0)
+
+    for l in range(model.cfg.layers - 1, -1, -1):
+        attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace = bundle[l]
+        lw = model.params.layers[l]
+        d_h, pgrads = _plugin_backward(model.plugin, l, ptrace, d_h)
+        for name, g in pgrads.items():
+            grads[f"plugin.layer{l}.{name}"] = g
+        if l == 0:
+            break
+        d_r2 = layer_norm_backward(ln2_cache, lw.ln2_gain, d_h)
+        d_h1 = d_r2 + ffn_backward(lw, ffn_cache, d_r2)
+        d_r1 = layer_norm_backward(ln1_cache, lw.ln1_gain, d_h1)
+        d_h = d_r1 + attention_backward(lw, attn_cache, d_r1)
+    return grads
+
+
+def adam_step(state, model, grads, cfg):
+    """The package's adam_step without its shape and finiteness checks."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - cfg.beta1 ** t
+    bc2 = 1.0 - cfg.beta2 ** t
+    for name, arr, trainable in iter_named_tensors(model):
+        if not trainable:
+            continue
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        with np.errstate(all="ignore"):
+            m *= cfg.beta1
+            m += (1.0 - cfg.beta1) * g
+            v *= cfg.beta2
+            v += (1.0 - cfg.beta2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
+            if cfg.weight_decay:
+                update = update + cfg.weight_decay * arr
+            arr -= cfg.learning_rate * update
 
 
 def cross_entropy(logits, label):
