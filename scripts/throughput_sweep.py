@@ -25,13 +25,11 @@ def main():
     ap.add_argument("--measure-seconds", type=float, default=1.0)
     ap.add_argument("--batch", type=int, default=32)
     ap.add_argument("--seq-len", type=int, default=32)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--d", type=int, default=768)
     args = ap.parse_args()
 
-    shared = dict(threads=args.threads, batch_size=args.batch, seq_len=args.seq_len,
-                  warmup_batches=1, measure_seconds=args.measure_seconds,
-                  precision="f32", d=args.d)
+    shared = dict(batch_size=args.batch, seq_len=args.seq_len, warmup_batches=1,
+                  measure_seconds=args.measure_seconds, precision="f32", d=args.d)
 
     arms = {
         "spartan-K8": BenchConfig(architecture="spartan", **shared),

@@ -19,7 +19,7 @@ import numpy as np
 from .backbone import Model, encode, tokenize
 from .data import Example
 from .numerics import ParameterError
-from .training import _group_by_length
+from .training import eval_batches
 
 
 @dataclass
@@ -53,7 +53,9 @@ def resolve_layer(model: Model, layer) -> int:
 
 def collect_selections(model: Model, dataset: list[Example], layer="last") -> list[SelectionRecord]:
     """One record per example: parent probabilities and argmax at the chosen
-    layer, read at the first position. Pure read; the model is not touched."""
+    layer, read at the first position. Pure read; the model is not touched.
+    Forwards run in training.eval_batches' bounded chunks, so a probability
+    may differ by a few ulps from a forward of the whole length group."""
     if model.plugin.kind != "spartan":
         raise ParameterError("selection analysis requires the spartan plugin")
     if not dataset:
@@ -62,8 +64,7 @@ def collect_selections(model: Model, dataset: list[Example], layer="last") -> li
 
     token_lists = [tokenize(ex.text, model.cfg) for ex in dataset]
     records: list[SelectionRecord | None] = [None] * len(dataset)
-    for idxs in _group_by_length(token_lists):
-        ids = np.stack([token_lists[i] for i in idxs])
+    for idxs, ids in eval_batches(token_lists):
         _, _, routing = encode(model, ids, capture_routing=True)
         probs = routing[layer_idx]                         # (B, N)
         arg = probs.argmax(axis=1)                         # ties -> lowest index

@@ -6,9 +6,10 @@ single plugin layer in isolation. End-to-end numbers are dominated by the
 frozen backbone, so the layer-level contrast between architectures is read
 from micro mode.
 
-Thread budgets cap the worker pool that batch items are split across, and
-BLAS runs one thread per worker while a bench measures; no cgroup or
-frequency emulation. Timing uses the monotonic clock. Wall-clock comparisons
+Every mode runs its batches on the calling thread, and BLAS runs one thread
+while a bench measures; no cgroup or frequency emulation. The finetune mode
+times the training step itself: `training.compute_batch_gradients` followed
+by `adam_step`. Timing uses the monotonic clock. Wall-clock comparisons
 between architectures should interleave their measurement windows (see
 compare_throughput) because machine load drifts on shared hosts; a single
 pair of back-to-back runs is not trustworthy.
@@ -24,19 +25,17 @@ import math
 import os
 import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import training
 from .backbone import (
     BackboneConfig,
     Model,
     PluginSpec,
     _plugin_forward,
-    classify_backward,
-    classify_forward,
     encode,
     init_backbone,
     make_plugin,
@@ -45,7 +44,6 @@ from .backbone import (
     tensor_slots,
 )
 from .numerics import MacCounter, ParameterError, check_counts, make_rng
-from .training import TrainConfig, adam_step, cross_entropy_batch, init_optimizer
 
 ARCHITECTURES = ("spartan", "adapter", "adapterx2", "none")
 
@@ -53,7 +51,6 @@ ARCHITECTURES = ("spartan", "adapter", "adapterx2", "none")
 @dataclass
 class BenchConfig:
     architecture: str = "spartan"
-    threads: int = 1
     batch_size: int = 32
     seq_len: int = 32
     warmup_batches: int = 2
@@ -76,7 +73,7 @@ class BenchConfig:
         if self.architecture not in ARCHITECTURES:
             raise ParameterError(
                 f"architecture {self.architecture!r} not one of {ARCHITECTURES}")
-        check_counts(vars(self), threads=1, batch_size=1, seq_len=1, warmup_batches=0, seed=0)
+        check_counts(vars(self), batch_size=1, seq_len=1, warmup_batches=0, seed=0)
         if not (math.isfinite(self.measure_seconds) and self.measure_seconds >= 1):
             raise ParameterError(
                 f"measure_seconds must be finite and >= 1, got {self.measure_seconds}")
@@ -133,12 +130,11 @@ def _one_blas_thread():
 
 
 def environment_fingerprint(cfg: BenchConfig, blas_threads) -> dict:
-    """What the run executed on. Worker threads are the bench's own pool;
-    blas_threads is the BLAS thread count that the measured window ran, or
-    "unpinned" (the library default, which blas_threads_env may set)."""
+    """What the run executed on. blas_threads is the BLAS thread count that
+    the measured window ran, or "unpinned" (the library default, which
+    blas_threads_env may set)."""
     return {
         "cores": os.cpu_count(),
-        "worker_threads": cfg.threads,
         "blas_threads": blas_threads,
         "precision": cfg.precision,
         "machine": platform.machine(),
@@ -212,51 +208,27 @@ def build_bench_model(cfg: BenchConfig, rng: np.random.Generator) -> Model:
     return model
 
 
-def _split(rows: np.ndarray, workers: int) -> list[np.ndarray]:
-    """Row views of rows, one per worker, without empty parts."""
-    return [part for part in np.array_split(rows, workers) if len(part)]
-
-
-def _timed_loop(step_fn, cfg: BenchConfig, instances_per_step: int):
-    """Warmup, then repeat step_fn until the measurement window closes.
-
-    step_fn returns its output array; returns (instances, elapsed seconds,
-    dtype name of the last timed output).
-    """
-    for _ in range(cfg.warmup_batches):
-        step_fn()
-    instances = 0
-    start = time.perf_counter()
-    while True:
-        output = step_fn()
-        instances += instances_per_step
-        elapsed = time.perf_counter() - start
-        if elapsed >= cfg.measure_seconds:
-            break
-    return instances, elapsed, output.dtype.name
-
-
-def _measure(cfg: BenchConfig, mode: str, parts: list, work, plugin_layers: int,
-             finish=None) -> BenchReport:
+def _measure(cfg: BenchConfig, mode: str, step, plugin_layers: int) -> BenchReport:
     """Time steps of batch_size instances and count their plugin MACs.
 
-    A step runs work(part, counter) on every part, on the calling thread for
-    one part and on the worker pool otherwise; finish(results), if given,
-    turns the results into the step's output, else the first result is it.
+    step(counter) runs one batch on the calling thread and returns its output
+    array. After warmup, steps repeat until the measurement window closes.
     MACs per position divide the counter's total over every position run,
     warmup included, and the step's plugin layers. BLAS runs one thread for
     warmup and timing.
     """
     counter = MacCounter()
-    with _one_blas_thread() as blas_threads, ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        def step():
-            if len(parts) == 1:
-                results = [work(parts[0], counter)]
-            else:
-                results = list(pool.map(lambda part: work(part, counter), parts))
-            return finish(results) if finish else results[0]
-
-        instances, elapsed, out_dtype = _timed_loop(step, cfg, cfg.batch_size)
+    with _one_blas_thread() as blas_threads:
+        for _ in range(cfg.warmup_batches):
+            step(counter)
+        instances = 0
+        start = time.perf_counter()
+        while True:
+            output = step(counter)
+            instances += cfg.batch_size
+            elapsed = time.perf_counter() - start
+            if elapsed >= cfg.measure_seconds:
+                break
     positions = (instances + cfg.warmup_batches * cfg.batch_size) * cfg.seq_len
     per_position = counter.total // (positions * plugin_layers)
     return BenchReport(
@@ -268,7 +240,7 @@ def _measure(cfg: BenchConfig, mode: str, parts: list, work, plugin_layers: int,
         mode=mode,
         config={**asdict(cfg), "mode": mode},
         environment=environment_fingerprint(cfg, blas_threads),
-        output_dtype=out_dtype,
+        output_dtype=output.dtype.name,
     )
 
 
@@ -277,8 +249,8 @@ def run_micro_bench(cfg: BenchConfig) -> BenchReport:
     rng = make_rng(cfg.seed)
     spec = build_plugin_spec(cfg, 1, rng)
     x = rng.standard_normal((cfg.batch_size * cfg.seq_len, cfg.d)).astype(_dtype(cfg))
-    return _measure(cfg, "micro", _split(x, cfg.threads),
-                    lambda part, counter: _plugin_forward(spec, 0, part, counter, False)[0], 1)
+    return _measure(cfg, "micro",
+                    lambda counter: _plugin_forward(spec, 0, x, counter, False)[0], 1)
 
 
 def run_inference_bench(cfg: BenchConfig) -> BenchReport:
@@ -286,42 +258,33 @@ def run_inference_bench(cfg: BenchConfig) -> BenchReport:
     rng = make_rng(cfg.seed)
     model = build_bench_model(cfg, rng)
     ids = rng.integers(0, cfg.vocab_hash_buckets, size=(cfg.batch_size, cfg.seq_len))
-    return _measure(cfg, "inference", _split(ids, cfg.threads),
-                    lambda part, counter: encode(model, part, counter)[0], cfg.layers)
+    return _measure(cfg, "inference", lambda counter: encode(model, ids, counter)[0],
+                    cfg.layers)
 
 
-def run_finetune_bench(cfg: BenchConfig, train_cfg: TrainConfig | None = None) -> BenchReport:
-    """Training-step throughput: forward, backward, and optimizer update.
+def run_finetune_bench(cfg: BenchConfig,
+                       train_cfg: training.TrainConfig | None = None) -> BenchReport:
+    """Training-step throughput: the step `training.train` runs, that is
+    compute_batch_gradients (forward and backward) and then adam_step.
 
-    Thread workers each process a slice of the batch; gradients are summed in
-    slice order and the update is one serialized step. MACs are the plugin
-    forward's, counted as it runs; the backward pass is not instrumented.
+    MACs are the plugin forward's, counted as it runs; the backward pass is
+    not instrumented. The reported output dtype is the step's gradients'.
     """
-    train_cfg = train_cfg or TrainConfig(batch_size=cfg.batch_size)
+    train_cfg = train_cfg or training.TrainConfig(batch_size=cfg.batch_size)
     rng = make_rng(cfg.seed)
     model = build_bench_model(cfg, rng)
     ids = rng.integers(0, cfg.vocab_hash_buckets, size=(cfg.batch_size, cfg.seq_len))
     labels = rng.integers(0, cfg.num_labels, size=cfg.batch_size)
-    opt = init_optimizer(model)
+    opt = training.init_optimizer(model)
 
-    def part_grads(part, counter):
-        part_ids, part_labels = part
-        logits, state = classify_forward(model, part_ids, counter, collect=True)
-        _, d_logits = cross_entropy_batch(logits, part_labels)
-        return logits, classify_backward(model, state, d_logits)
+    def step(counter):
+        # looked up at call time, so that a tracer wrapping the training
+        # module's functions sees the bench's steps too
+        _, grads = training.compute_batch_gradients(model, list(ids), labels, counter)
+        training.adam_step(opt, model, grads, train_cfg)
+        return next(iter(grads.values()))
 
-    def update(results):
-        grads = results[0][1]
-        for _, extra in results[1:]:
-            for name, g in extra.items():
-                grads[name] += g
-        for name in grads:
-            grads[name] = grads[name] / cfg.batch_size
-        adam_step(opt, model, grads, train_cfg)
-        return results[0][0]
-
-    parts = list(zip(_split(ids, cfg.threads), _split(labels, cfg.threads)))
-    return _measure(cfg, "finetune", parts, part_grads, cfg.layers, update)
+    return _measure(cfg, "finetune", step, cfg.layers)
 
 
 RUNNERS = {"inference": run_inference_bench, "finetune": run_finetune_bench,
@@ -373,7 +336,6 @@ def write_report_csv(path, report: BenchReport) -> None:
         "macs_per_position_per_plugin": report.macs_per_position_per_plugin,
         "instances": report.instances,
         "elapsed_seconds": report.elapsed_seconds,
-        "threads": report.config["threads"],
         "batch_size": report.config["batch_size"],
         "seq_len": report.config["seq_len"],
         "precision": report.config["precision"],

@@ -190,7 +190,6 @@ def cmd_eval(args) -> int:
 def cmd_bench(args) -> int:
     cfg = bench_mod.BenchConfig(
         architecture=args.arch,
-        threads=args.threads,
         batch_size=args.batch,
         seq_len=args.seq_len,
         warmup_batches=args.warmup,
@@ -281,7 +280,6 @@ def build_parser() -> _Parser:
     p_bench = sub.add_parser("bench", help="throughput benchmarks")
     p_bench.add_argument("--arch", default="spartan", choices=bench_mod.ARCHITECTURES)
     p_bench.add_argument("--mode", default="inference", choices=bench_mod.MODES)
-    p_bench.add_argument("--threads", type=int, default=1)
     p_bench.add_argument("--batch", type=int, default=32)
     p_bench.add_argument("--seq-len", type=int, default=32)
     p_bench.add_argument("--warmup", type=int, default=2)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import threading
 
 import numpy as np
 from scipy.special import erf
@@ -242,17 +241,15 @@ class MacCounter:
     """Tallies multiply-accumulate operations, bucketed by label.
 
     Forward paths add the exact MAC count of each matrix product they perform,
-    so the tally reflects the compute the implementation actually does. Adds
-    are lock-guarded so concurrent benchmark workers cannot lose updates.
+    so the tally reflects the compute the implementation actually does. One
+    thread adds to a counter; it does no locking.
     """
 
     def __init__(self):
         self.by_label: dict[str, int] = {}
-        self._lock = threading.Lock()
 
     def add(self, label: str, n: int) -> None:
-        with self._lock:
-            self.by_label[label] = self.by_label.get(label, 0) + int(n)
+        self.by_label[label] = self.by_label.get(label, 0) + int(n)
 
     @property
     def total(self) -> int:

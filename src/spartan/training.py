@@ -17,9 +17,9 @@ import numpy as np
 
 from .backbone import Model, classify_backward, classify_forward, iter_named_tensors, tokenize
 from .data import Example
-from .numerics import ParameterError, check_counts, make_rng
+from .numerics import MacCounter, ParameterError, check_counts, make_rng
 
-EVAL_POSITIONS = 512  # per forward in evaluate (one sequence at least): bounds its activations
+EVAL_POSITIONS = 512  # per inference forward (one sequence at least): bounds its activations
 
 
 class NumericalError(RuntimeError):
@@ -128,18 +128,29 @@ def _group_by_length(token_lists: list[np.ndarray]):
     return [np.asarray(idx) for _, idx in sorted(groups.items())]
 
 
-def compute_batch_gradients(model: Model, token_lists: list[np.ndarray], labels: np.ndarray):
+def eval_batches(token_lists: list[np.ndarray]):
+    """Yield (indices, ids) over equal-length sequences, each ids array holding
+    at most EVAL_POSITIONS positions, or one sequence if it is longer."""
+    for group in _group_by_length(token_lists):
+        rows = max(1, EVAL_POSITIONS // len(token_lists[group[0]]))
+        for idx in np.split(group, range(rows, len(group), rows)):
+            yield idx, np.stack([token_lists[i] for i in idx])
+
+
+def compute_batch_gradients(model: Model, token_lists: list[np.ndarray], labels: np.ndarray,
+                            counter: MacCounter | None = None):
     """Mean loss and mean gradients over one batch of tokenized examples.
 
     This is one optimization step's raw gradient, before any moment smoothing,
-    which is what the exact-sparsity guarantees are about.
+    which is what the exact-sparsity guarantees are about. A counter, if
+    given, tallies the plugin forward's MACs; it changes no result.
     """
     n = len(token_lists)
     total_loss = 0.0
     grads: dict[str, np.ndarray] = {}
     for idx in _group_by_length(token_lists):
         ids = np.stack([token_lists[i] for i in idx])
-        logits, state = classify_forward(model, ids, collect=True)
+        logits, state = classify_forward(model, ids, counter=counter, collect=True)
         losses, d_logits = cross_entropy_batch(logits, labels[idx])
         total_loss += losses.sum()
         g = classify_backward(model, state, d_logits)
@@ -197,12 +208,9 @@ def evaluate(model: Model, dataset: list[Example]) -> float:
     token_lists = [tokenize(ex.text, model.cfg) for ex in dataset]
     labels = np.asarray([ex.label for ex in dataset])
     preds = np.empty(len(dataset), dtype=np.int64)
-    for group in _group_by_length(token_lists):
-        rows = max(1, EVAL_POSITIONS // len(token_lists[group[0]]))
-        for idx in np.split(group, range(rows, len(group), rows)):
-            ids = np.stack([token_lists[i] for i in idx])
-            logits, _ = classify_forward(model, ids, collect=False)
-            preds[idx] = np.argmax(logits, axis=1)
+    for idx, ids in eval_batches(token_lists):
+        logits, _ = classify_forward(model, ids, collect=False)
+        preds[idx] = np.argmax(logits, axis=1)
     return float(np.mean(preds == labels))
 
 

@@ -211,7 +211,7 @@ def test_criterion_05_compute_sparsity_and_micro_throughput():
         assert adapter_macs == 98304
         assert adapter_macs / analytic >= 1.6
 
-        shared = dict(threads=1, batch_size=32, seq_len=32, warmup_batches=1,
+        shared = dict(batch_size=32, seq_len=32, warmup_batches=1,
                       measure_seconds=1.0, precision="f32", d=768)
         arms = {
             "spartan": bench_mod.BenchConfig(architecture="spartan", **shared),
@@ -242,7 +242,7 @@ def test_criterion_06_k_monotonicity():
         ks = (2, 4, 8, 16)
         arms = {
             f"K={k}": bench_mod.BenchConfig(
-                architecture="spartan", threads=1, batch_size=32, seq_len=32,
+                architecture="spartan", batch_size=32, seq_len=32,
                 warmup_batches=1, measure_seconds=1.0, precision="f32",
                 d=768, num_parents=16, children_per_parent=3, top_k=k)
             for k in ks

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import reference
+from spartan import analysis as analysis_mod, training as training_mod
 from spartan.analysis import (
     SelectionRecord,
     collect_selections,
@@ -90,6 +91,28 @@ class TestCollectSelections:
         records = collect_selections(model, data)
         assert [r.example_index for r in records] == list(range(len(data)))
         assert [r.label for r in records] == [ex.label for ex in data]
+
+    @pytest.mark.parametrize("max_positions", [1, 40])
+    def test_forwards_stay_within_eval_positions(self, monkeypatch, max_positions):
+        model = analysis_model(7)
+        data = small_dataset(10)
+        monkeypatch.setattr(training_mod, "EVAL_POSITIONS", 10**9)
+        whole = collect_selections(model, data)
+        shapes, encode = [], analysis_mod.encode
+
+        def spy(model, ids, **kwargs):
+            shapes.append(ids.shape)
+            return encode(model, ids, **kwargs)
+
+        monkeypatch.setattr(analysis_mod, "encode", spy)
+        monkeypatch.setattr(training_mod, "EVAL_POSITIONS", max_positions)
+        chunked = collect_selections(model, data)
+        assert sum(b for b, _ in shapes) == len(data)
+        assert all(b * s <= max(s, max_positions) for b, s in shapes)
+        # a row's result may move by a few ulps with the rows forwarded beside it
+        assert [r.argmax_parent for r in chunked] == [r.argmax_parent for r in whole]
+        for got, want in zip(chunked, whole):
+            np.testing.assert_allclose(got.parent_probs, want.parent_probs, rtol=1e-12, atol=0)
 
     def test_requires_spartan_plugin(self):
         rng = make_rng(6)

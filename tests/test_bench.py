@@ -2,12 +2,11 @@ import ctypes
 import glob
 import json
 import os
-import threading
 
 import numpy as np
 import pytest
 
-from spartan import bench
+from spartan import bench, training
 from spartan.backbone import _plugin_forward
 from spartan.bench import (
     ARCHITECTURES,
@@ -92,19 +91,6 @@ class TestRunners:
         assert report.environment["cores"] >= 1
         assert report.config["batch_size"] == 8
 
-    def test_micro_with_two_worker_threads(self):
-        cfg = BenchConfig(architecture="adapter", threads=2, **TINY)
-        report = run_micro_bench(cfg)
-        assert report.instances_per_minute > 0
-        assert report.macs_per_position_per_plugin == count_macs("adapter", cfg.d,
-                                                                 bottleneck=cfg.bottleneck)
-
-    @pytest.mark.parametrize("runner", [run_micro_bench, run_inference_bench, run_finetune_bench])
-    def test_worker_pool_is_shut_down(self, runner):
-        before = threading.active_count()
-        runner(BenchConfig(architecture="adapter", threads=2, **{**TINY, "layers": 1}))
-        assert threading.active_count() == before
-
     def test_inference_end_to_end(self):
         cfg = BenchConfig(architecture="spartan", **TINY)
         report = run_inference_bench(cfg)
@@ -118,12 +104,24 @@ class TestRunners:
         assert report.instances_per_minute > 0
         assert report.mode == "finetune"
 
-    @pytest.mark.parametrize("threads", [1, 2])
+    def test_finetune_times_the_training_step(self, monkeypatch):
+        calls = []
+        for name in ("compute_batch_gradients", "adam_step"):
+            def spy(*args, _name=name, _real=getattr(training, name)):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(training, name, spy)
+        cfg = BenchConfig(architecture="spartan", **{**TINY, "layers": 1})
+        report = run_finetune_bench(cfg)
+        steps = report.instances // cfg.batch_size + cfg.warmup_batches
+        assert calls == ["compute_batch_gradients", "adam_step"] * steps
+
+    @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("arch", ARCHITECTURES)
-    def test_finetune_macs_are_counted(self, arch, threads):
+    def test_finetune_macs_are_counted(self, arch, layers):
         # the counter runs inside the training step's forward, so the report
         # equals the closed form only if every layer's plugin ran as modeled
-        cfg = BenchConfig(architecture=arch, threads=threads, **TINY)
+        cfg = BenchConfig(architecture=arch, **{**TINY, "layers": layers})
         report = run_finetune_bench(cfg)
         expect = count_macs(arch, cfg.d, cfg.num_parents, cfg.children_per_parent,
                             cfg.top_k, cfg.bottleneck)
@@ -145,13 +143,15 @@ class TestRunners:
             compare_reports({"spartan": BenchConfig(**TINY)}, mode="mystery")
 
     def test_repeated_runs_agree_within_noise_bound(self):
-        # adjacent same-seed measurements; 15% is the accepted timing noise.
-        # batch 32 at d=256 gives each window enough work to be stable
+        # two identical arms; 15% is the accepted timing noise. Medians of
+        # seven interleaved one-second rounds, so that a slow stretch on a
+        # shared host must hit four of an arm's rounds to move its median.
+        # Batch 32 at d=256 gives each window enough work to be stable
         cfg = BenchConfig(architecture="spartan", d=256, batch_size=32, seq_len=32,
                           num_parents=16, children_per_parent=3, top_k=8,
-                          warmup_batches=2, measure_seconds=1.5)
-        a = run_micro_bench(cfg).instances_per_minute
-        b = run_micro_bench(cfg).instances_per_minute
+                          warmup_batches=2, measure_seconds=1.0)
+        medians = compare_throughput({"a": cfg, "b": cfg}, mode="micro", rounds=7)
+        a, b = medians["a"], medians["b"]
         assert abs(a - b) / max(a, b) <= 0.15
 
     def test_plugin_free_is_fastest_end_to_end(self):
@@ -172,10 +172,11 @@ class TestRunners:
 
 
 @pytest.fixture
-def blas_threads():
+def blas_threads(request):
     """Reads the thread count of numpy's bundled OpenBLAS, looked up here
-    rather than through the bench. The count is 2 during the test, so that a
-    bench that pins one thread and does not restore it shows."""
+    rather than through the bench. The count during the test is the
+    parameter, 2 by default, so that a bench that pins one thread and does
+    not restore it shows."""
     paths = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                    "libscipy_openblas64_*.so"))
     if not paths:
@@ -185,28 +186,28 @@ def blas_threads():
     get.argtypes, get.restype = [], ctypes.c_int
     set_.argtypes, set_.restype = [ctypes.c_int], None
     before = get()
-    set_(2)
+    set_(getattr(request, "param", 2))
     yield get
     set_(before)
 
 
 class TestBlasThreads:
-    @pytest.mark.parametrize("threads", [1, 2])
+    # the bench pins one thread from either count in force before it, and
+    # restores that count afterwards
+    @pytest.mark.parametrize("blas_threads", [1, 2], indirect=True)
     @pytest.mark.parametrize("runner", [run_micro_bench, run_inference_bench, run_finetune_bench])
-    def test_measured_window_runs_one_blas_thread(self, blas_threads, monkeypatch, runner,
-                                                  threads):
+    def test_measured_window_runs_one_blas_thread(self, blas_threads, monkeypatch, runner):
         seen, measure = [], bench._measure
 
-        def spying_measure(cfg, mode, parts, work, *rest):
-            def spying_work(part, counter):
+        def spying_measure(cfg, mode, step, plugin_layers):
+            def spying_step(counter):
                 seen.append(blas_threads())
-                return work(part, counter)
-            return measure(cfg, mode, parts, spying_work, *rest)
+                return step(counter)
+            return measure(cfg, mode, spying_step, plugin_layers)
 
         monkeypatch.setattr(bench, "_measure", spying_measure)
         before = blas_threads()
-        report = runner(BenchConfig(architecture="adapter", threads=threads,
-                                    **{**TINY, "layers": 1}))
+        report = runner(BenchConfig(architecture="adapter", **{**TINY, "layers": 1}))
         assert seen and set(seen) == {1}
         assert blas_threads() == before
         assert report.environment["blas_threads"] == 1
@@ -248,10 +249,6 @@ class TestValidation:
     def test_unknown_architecture_lists_valid_values(self):
         with pytest.raises(ParameterError, match="spartan"):
             BenchConfig(architecture="mystery")
-
-    def test_thread_floor(self):
-        with pytest.raises(ParameterError):
-            BenchConfig(threads=0)
 
 
 class TestReportFiles:

@@ -419,6 +419,13 @@ class TestBenchCommand:
         _assert_one_line_error(capsys, "config error", word)
         assert not (tmp_path / "b.json").exists()
 
+    def test_removed_threads_flag_exits_1_with_one_line(self, tmp_path, capsys):
+        # the bench runs on the calling thread; there is no worker pool to size
+        code = main(["bench", "--threads", "2", "--out", str(tmp_path / "b")])
+        assert code == 1
+        _assert_one_line_error(capsys, "usage error:", "--threads")
+        assert not (tmp_path / "b.json").exists()
+
     def test_micro_mode_writes_reports(self, tmp_path, capsys):
         prefix = tmp_path / "micro"
         code = main(["bench", "--arch", "spartan", "--mode", "micro", "--batch", "8",

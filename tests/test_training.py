@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 import reference
-from spartan import training as training_mod
+from spartan import bench, training as training_mod
 from spartan.backbone import BackboneConfig, Model, init_backbone, iter_named_tensors, make_plugin, tokenize
 from spartan.data import SyntheticTopicTask, generate_topic_dataset
 from spartan.memory import SpartanConfig
-from spartan.numerics import ParameterError, make_rng
+from spartan.numerics import MacCounter, ParameterError, make_rng
 from spartan.training import (
     NumericalError,
     TrainConfig,
@@ -125,6 +125,39 @@ class TestAdam:
             results.append({n: a.copy() for n, a, t in iter_named_tensors(model) if t})
         for name in results[0]:
             assert np.array_equal(results[0][name], results[1][name])
+
+
+class TestCounterPassThrough:
+    """A MAC counter handed to compute_batch_gradients tallies the plugin
+    forward of every layer and changes no result."""
+
+    SHAPES = dict(d=32, layers=2, heads=2, ffn_dim=48, num_parents=8, children_per_parent=2,
+                  top_k=4, bottleneck=8, vocab_hash_buckets=256, seq_len=8)
+
+    def batch(self, cfg):
+        rng = make_rng(5)
+        lengths = (3, 8, 5, 8, 3, 1)  # three length groups, so three forwards
+        token_lists = [rng.integers(0, cfg.vocab_hash_buckets, size=n) for n in lengths]
+        return token_lists, rng.integers(0, cfg.num_labels, size=len(lengths))
+
+    @pytest.mark.parametrize("precision", ["f32", "f64"])
+    @pytest.mark.parametrize("arch", bench.ARCHITECTURES)
+    def test_counter_changes_no_result_and_counts_every_layer(self, arch, precision):
+        cfg = bench.BenchConfig(architecture=arch, precision=precision, **self.SHAPES)
+        model = bench.build_bench_model(cfg, make_rng(4))
+        token_lists, labels = self.batch(cfg)
+        loss, grads = compute_batch_gradients(model, token_lists, labels)
+        counter = MacCounter()
+        counted_loss, counted_grads = compute_batch_gradients(model, token_lists, labels, counter)
+        assert counted_loss.tobytes() == loss.tobytes()
+        assert list(counted_grads) == list(grads)
+        for name, g in grads.items():
+            assert counted_grads[name].dtype == g.dtype == model.params.head_weight.dtype
+            assert counted_grads[name].tobytes() == g.tobytes(), name
+        positions = sum(len(ids) for ids in token_lists)
+        assert counter.total == bench.count_macs(
+            arch, cfg.d, cfg.num_parents, cfg.children_per_parent, cfg.top_k,
+            cfg.bottleneck) * positions * cfg.layers
 
 
 class TestTrainLoop:
