@@ -2,10 +2,16 @@
 
 The encoder is a standard post-norm stack (attention, residual, norm, feed
 forward, residual, norm); after each layer's final norm, that layer's plugin
-stack transforms every position's vector. Backbone weights are randomly
-initialized and frozen; only plugin parameters and the classification head
-train. The rest of this module is a manual reverse-mode pass through the stack
-that produces gradients for exactly those trainable tensors.
+stack transforms its positions' vectors. `encode` runs every layer on every
+position. The classifier pools each sequence's first position, so
+`classify_forward` and `classify_backward` run the top layer on those B
+pooled rows only: its attention takes keys and values from every row and
+queries from the pooled rows, and its residuals, norms, feed forward and
+plugin stack see (B, d), not (B·S, d). Both paths share one layer loop.
+Backbone weights are randomly initialized and frozen; only plugin parameters
+and the classification head train. The rest of this module is a manual
+reverse-mode pass through the stack that produces gradients for exactly those
+trainable tensors.
 
 Hidden states run as one flat (B·S, d) token matrix, so each projection, norm
 and plugin is one 2-D product over all tokens, not B per-sequence ones; only
@@ -73,11 +79,8 @@ class BackboneConfig:
                      max_seq_len=1)
         if self.d % self.heads != 0:
             raise ParameterError(f"d={self.d} not divisible by heads={self.heads}")
-        if self.pooling == "first-token":
-            self.pooling = "first"
-        if self.pooling not in ("first", "mean"):
-            raise ParameterError(
-                f"pooling must be 'first' ('first-token') or 'mean', got {self.pooling!r}")
+        if self.pooling != "first":
+            raise ParameterError(f"pooling must be 'first' (the only mode), got {self.pooling!r}")
 
 
 @dataclass
@@ -270,8 +273,11 @@ def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y
 
 
-def _attention_forward(lw: LayerWeights, h: np.ndarray, b: int, heads: int):
-    q = _split_heads(_affine(h, lw.wq, lw.bq), b, heads)
+def _attention_forward(lw: LayerWeights, h: np.ndarray, b: int, heads: int,
+                       rows: slice = slice(None)):
+    """Self-attention with keys and values from every row of h and queries
+    from h[rows] only: all rows, or each sequence's first (rows = ::s)."""
+    q = _split_heads(_affine(h[rows], lw.wq, lw.bq), b, heads)
     k = _split_heads(_affine(h, lw.wk, lw.bk), b, heads)
     v = _split_heads(_affine(h, lw.wv, lw.bv), b, heads)
     scale = float(1.0 / np.sqrt(q.shape[-1]))  # a Python float keeps f32 in f32 (NEP 50)
@@ -284,7 +290,16 @@ def _attention_forward(lw: LayerWeights, h: np.ndarray, b: int, heads: int):
     return _affine(ctx, lw.wo, lw.bo), (q, k, v, scores, scale)
 
 
+def _query_rows(cache) -> slice:
+    """The rows of h that an attention took queries from, read off its
+    cache: every row, or each sequence's first."""
+    q, k = cache[:2]
+    return slice(None, None, k.shape[2] // q.shape[2])
+
+
 def _attention_backward(lw: LayerWeights, cache, d_out: np.ndarray) -> np.ndarray:
+    """d_out is the gradient of the query rows' outputs; returns that of
+    every row of h, the query path's share added into the query rows."""
     q, k, v, attn, scale = cache
     d_ctx = _split_heads(d_out @ lw.wo, q.shape[0], q.shape[1])
     d_attn = d_ctx @ v.transpose(0, 1, 3, 2)
@@ -295,8 +310,8 @@ def _attention_backward(lw: LayerWeights, cache, d_out: np.ndarray) -> np.ndarra
     d_q *= scale
     d_k = d_attn.transpose(0, 1, 3, 2) @ q
     d_k *= scale
-    d_in = _merge_heads(d_q) @ lw.wq
-    d_in += _merge_heads(d_k) @ lw.wk
+    d_in = _merge_heads(d_k) @ lw.wk
+    d_in[_query_rows(cache)] += _merge_heads(d_q) @ lw.wq
     d_in += _merge_heads(d_v) @ lw.wv
     return d_in
 
@@ -321,7 +336,10 @@ def _stack_tag(i: int, depth: int) -> str:
 
 def _plugin_forward(plugin: PluginSpec, layer: int, x_flat: np.ndarray,
                     counter: MacCounter | None, collect: bool):
-    """Runs the layer's stack in order; returns (output, per-instance traces)."""
+    """Runs the layer's stack in order; returns (output, per-instance traces).
+    A counter tallies the stack's MACs and the rows it ran on."""
+    if counter is not None:
+        counter.rows += len(x_flat)
     traces = []
     for inst in plugin.layers[layer]:
         x_flat, trace = inst.forward(x_flat, counter, collect)
@@ -339,17 +357,13 @@ def _plugin_backward(plugin: PluginSpec, layer: int, traces, d_out: np.ndarray):
                    for i, named in enumerate(grads) for name, g in named.items()}
 
 
-def encode(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
-           collect: bool = False, capture_routing: bool = False):
-    """Run the stack over a batch of equal-length id sequences.
-
-    ids is (B, S). Returns (hidden (B, S, d), bundle, routing) where bundle
-    carries per-layer caches when collect=True and routing, when requested,
-    holds each layer's parent probabilities at the first position of every
-    sequence (spartan plugin only).
-    """
+def _run_layers(model: Model, ids: np.ndarray, counter: MacCounter | None, collect: bool,
+                capture_routing: bool, pooled_top: bool):
+    """The encoder stack over (B, S) ids; returns (h, layer caches or None,
+    routing or None). h is (B·S, d), or (B, d) with pooled_top: then the top
+    layer takes queries from each sequence's first row only, and its
+    residual, norms, feed forward and plugin stack run on those B rows."""
     cfg = model.cfg
-    ids = np.atleast_2d(np.asarray(ids))
     b, s = ids.shape
     if s > cfg.max_seq_len:
         raise ShapeError(f"sequence length {s} exceeds max_seq_len {cfg.max_seq_len}")
@@ -364,9 +378,11 @@ def encode(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
     layer_caches = []
     routing = [] if capture_routing else None
     collect_plugin = collect or capture_routing
+    top = cfg.layers - 1
     for l, lw in enumerate(model.params.layers):
-        a, attn_cache = _attention_forward(lw, h, b, cfg.heads)
-        a += h
+        rows = slice(None, None, s) if pooled_top and l == top else slice(None)
+        a, attn_cache = _attention_forward(lw, h, b, cfg.heads, rows)
+        a += h[rows]
         h1, ln1_cache = layer_norm(a, lw.ln1_gain, lw.ln1_bias)
         f, ffn_cache = _ffn_forward(lw, h1)
         f += h1
@@ -376,13 +392,21 @@ def encode(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
             routing.append(ptrace[0].parent_probs[np.arange(b) * s])
         if collect:
             layer_caches.append((attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace))
-    return h.reshape(b, s, cfg.d), layer_caches if collect else None, routing
+    return h, layer_caches if collect else None, routing
 
 
-def pool(cfg: BackboneConfig, hidden: np.ndarray) -> np.ndarray:
-    if cfg.pooling == "first":
-        return hidden[:, 0, :]
-    return hidden.mean(axis=1)
+def encode(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
+           collect: bool = False, capture_routing: bool = False):
+    """Run the stack over a batch of equal-length id sequences.
+
+    ids is (B, S). Returns (hidden (B, S, d), bundle, routing) where bundle
+    carries per-layer caches when collect=True and routing, when requested,
+    holds each layer's parent probabilities at the first position of every
+    sequence (spartan plugin only).
+    """
+    ids = np.atleast_2d(np.asarray(ids))
+    h, bundle, routing = _run_layers(model, ids, counter, collect, capture_routing, False)
+    return h.reshape(*ids.shape, model.cfg.d), bundle, routing
 
 
 def classify(params: BackboneParams, pooled: np.ndarray) -> np.ndarray:
@@ -396,20 +420,25 @@ def classify(params: BackboneParams, pooled: np.ndarray) -> np.ndarray:
 
 def classify_forward(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
                      collect: bool = False):
-    hidden, bundle, _ = encode(model, ids, counter=counter, collect=collect)
-    pooled = pool(model.cfg, hidden)
-    logits = classify(model.params, pooled)
-    return logits, (bundle, pooled, hidden.shape)
+    """Logits of the head over each sequence's first position, with the top
+    layer run on those B pooled rows only. They equal the head over
+    `encode`'s first positions up to rounding: one-row products run other
+    BLAS kernels than many-row ones."""
+    pooled, bundle, _ = _run_layers(model, np.atleast_2d(np.asarray(ids)), counter, collect,
+                                    False, True)
+    return classify(model.params, pooled), (bundle, pooled)
 
 
 def classify_backward(model: Model, fw_state, d_logits: np.ndarray) -> dict[str, np.ndarray]:
     """Gradients for the trainable tensors only: head plus plugin parameters.
 
-    The frozen backbone contributes activation gradients but none of its
-    weights receive one; the walk stops once the lowest plugin has been
-    differentiated.
+    fw_state is classify_forward's, run with collect=True. The frozen
+    backbone contributes activation gradients but none of its weights receive
+    one; the walk stops once the lowest plugin has been differentiated. The
+    top layer's gradients are (B, d), one row per sequence, until its
+    attention spreads them over every row through the keys and values.
     """
-    bundle, pooled, (b, s, d) = fw_state
+    bundle, pooled = fw_state
     if bundle is None:
         raise ParameterError("classify_backward needs a forward pass run with collect=True")
     grads: dict[str, np.ndarray] = {
@@ -419,13 +448,7 @@ def classify_backward(model: Model, fw_state, d_logits: np.ndarray) -> dict[str,
     if not any(model.plugin.layers):
         return grads  # no plugin: only the head trains
 
-    d_pooled = d_logits @ model.params.head_weight
-    if model.cfg.pooling == "first":
-        d_h = np.zeros((b * s, d), dtype=d_pooled.dtype)
-        d_h[::s] = d_pooled
-    else:
-        d_h = np.repeat(d_pooled / s, s, axis=0)
-
+    d_h = d_logits @ model.params.head_weight
     for l in range(model.cfg.layers - 1, -1, -1):
         attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace = bundle[l]
         lw = model.params.layers[l]
@@ -439,7 +462,7 @@ def classify_backward(model: Model, fw_state, d_logits: np.ndarray) -> dict[str,
         d_h1 += d_r2
         d_r1 = layer_norm_backward(ln1_cache, lw.ln1_gain, d_h1)
         d_h = _attention_backward(lw, attn_cache, d_r1)
-        d_h += d_r1
+        d_h[_query_rows(attn_cache)] += d_r1
     return grads
 
 

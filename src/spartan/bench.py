@@ -1,10 +1,11 @@
 """CPU throughput harness for the plugin architectures.
 
-Three modes: `inference` runs the full encoder stack, `finetune` measures
-training steps (forward + backward + optimizer update), and `micro` measures a
-single plugin layer in isolation. End-to-end numbers are dominated by the
-frozen backbone, so the layer-level contrast between architectures is read
-from micro mode.
+Three modes: `inference` runs the forward pass `training.evaluate` runs
+(`classify_forward`, whose top layer runs on the pooled rows only),
+`finetune` measures training steps (forward + backward + optimizer update),
+and `micro` measures a single plugin layer in isolation. End-to-end numbers
+are dominated by the frozen backbone, so the layer-level contrast between
+architectures is read from micro mode.
 
 Every mode runs its batches on the calling thread, and BLAS runs one thread
 while a bench measures; no cgroup or frequency emulation. The finetune mode
@@ -36,7 +37,7 @@ from .backbone import (
     Model,
     PluginSpec,
     _plugin_forward,
-    encode,
+    classify_forward,
     init_backbone,
     make_plugin,
     plugin_kind,
@@ -208,14 +209,14 @@ def build_bench_model(cfg: BenchConfig, rng: np.random.Generator) -> Model:
     return model
 
 
-def _measure(cfg: BenchConfig, mode: str, step, plugin_layers: int) -> BenchReport:
+def _measure(cfg: BenchConfig, mode: str, step) -> BenchReport:
     """Time steps of batch_size instances and count their plugin MACs.
 
     step(counter) runs one batch on the calling thread and returns its output
     array. After warmup, steps repeat until the measurement window closes.
-    MACs per position divide the counter's total over every position run,
-    warmup included, and the step's plugin layers. BLAS runs one thread for
-    warmup and timing.
+    MACs per position divide the counter's total by the rows that plugin
+    stacks ran on, and MACs per instance by the instances run, warmup
+    included in both. BLAS runs one thread for warmup and timing.
     """
     counter = MacCounter()
     with _one_blas_thread() as blas_threads:
@@ -229,12 +230,11 @@ def _measure(cfg: BenchConfig, mode: str, step, plugin_layers: int) -> BenchRepo
             elapsed = time.perf_counter() - start
             if elapsed >= cfg.measure_seconds:
                 break
-    positions = (instances + cfg.warmup_batches * cfg.batch_size) * cfg.seq_len
-    per_position = counter.total // (positions * plugin_layers)
+    run = instances + cfg.warmup_batches * cfg.batch_size
     return BenchReport(
         instances_per_minute=instances * 60.0 / elapsed,
-        macs_per_instance=per_position * cfg.seq_len * plugin_layers,
-        macs_per_position_per_plugin=per_position,
+        macs_per_instance=counter.total // run,
+        macs_per_position_per_plugin=counter.total // counter.rows,
         instances=instances,
         elapsed_seconds=elapsed,
         mode=mode,
@@ -250,16 +250,16 @@ def run_micro_bench(cfg: BenchConfig) -> BenchReport:
     spec = build_plugin_spec(cfg, 1, rng)
     x = rng.standard_normal((cfg.batch_size * cfg.seq_len, cfg.d)).astype(_dtype(cfg))
     return _measure(cfg, "micro",
-                    lambda counter: _plugin_forward(spec, 0, x, counter, False)[0], 1)
+                    lambda counter: _plugin_forward(spec, 0, x, counter, False)[0])
 
 
 def run_inference_bench(cfg: BenchConfig) -> BenchReport:
-    """End-to-end encoder throughput at the configured shapes."""
+    """End-to-end classification throughput at the configured shapes: the
+    logits of `classify_forward`, as `training.evaluate` computes them."""
     rng = make_rng(cfg.seed)
     model = build_bench_model(cfg, rng)
     ids = rng.integers(0, cfg.vocab_hash_buckets, size=(cfg.batch_size, cfg.seq_len))
-    return _measure(cfg, "inference", lambda counter: encode(model, ids, counter)[0],
-                    cfg.layers)
+    return _measure(cfg, "inference", lambda counter: classify_forward(model, ids, counter)[0])
 
 
 def run_finetune_bench(cfg: BenchConfig,
@@ -284,7 +284,7 @@ def run_finetune_bench(cfg: BenchConfig,
         training.adam_step(opt, model, grads, train_cfg)
         return next(iter(grads.values()))
 
-    return _measure(cfg, "finetune", step, cfg.layers)
+    return _measure(cfg, "finetune", step)
 
 
 RUNNERS = {"inference": run_inference_bench, "finetune": run_finetune_bench,

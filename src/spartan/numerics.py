@@ -241,12 +241,15 @@ class MacCounter:
     """Tallies multiply-accumulate operations, bucketed by label.
 
     Forward paths add the exact MAC count of each matrix product they perform,
-    so the tally reflects the compute the implementation actually does. One
-    thread adds to a counter; it does no locking.
+    so the tally reflects the compute the implementation actually does.
+    `rows` counts the rows that plugin stacks ran on, once per stack, so
+    total / rows is MACs per position per plugin stack. One thread adds to a
+    counter; it does no locking.
     """
 
     def __init__(self):
         self.by_label: dict[str, int] = {}
+        self.rows = 0
 
     def add(self, label: str, n: int) -> None:
         self.by_label[label] = self.by_label.get(label, 0) + int(n)

@@ -89,8 +89,9 @@ def layer_norm_backward(cache, gain, d_out, want_param_grads=False):
     return d_x, d_gain, d_bias
 
 
-def attention_forward(lw, h, b, heads):
-    q = _split_heads(h @ lw.wq.T + lw.bq, b, heads)
+def attention_forward(lw, h, b, heads, rows=slice(None)):
+    """Keys and values from every row of h, queries from h[rows]."""
+    q = _split_heads(h[rows] @ lw.wq.T + lw.bq, b, heads)
     k = _split_heads(h @ lw.wk.T + lw.bk, b, heads)
     v = _split_heads(h @ lw.wv.T + lw.bv, b, heads)
     scale = float(1.0 / np.sqrt(q.shape[-1]))
@@ -110,9 +111,18 @@ def attention_backward(lw, cache, d_out):
     d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
     d_q = (d_scores @ k) * scale
     d_k = (d_scores.transpose(0, 1, 3, 2) @ q) * scale
-    return (_merge_heads(d_q) @ lw.wq
+    d_from_q = np.zeros((k.shape[0] * k.shape[2], lw.wq.shape[1]), dtype=d_q.dtype)
+    d_from_q[query_rows(cache)] = _merge_heads(d_q) @ lw.wq
+    return (d_from_q
             + _merge_heads(d_k) @ lw.wk
             + _merge_heads(d_v) @ lw.wv)
+
+
+def query_rows(cache):
+    """The rows an attention took queries from: all of them, or each
+    sequence's first."""
+    q, k = cache[:2]
+    return slice(None, None, k.shape[2] // q.shape[2])
 
 
 def ffn_forward(lw, h, gelu=gelu_cached):
@@ -128,21 +138,29 @@ def ffn_backward(lw, cache, d_out):
     return (d_out @ lw.w2 * gelu_grad_cached(u, cdf)) @ lw.w1
 
 
-def encode(model, ids, counter=None, collect=False, gelu=gelu_cached):
-    """The package's encode without its input checks and routing capture."""
+def run_layers(model, ids, counter, collect, gelu, pooled_top):
+    """The stack over (B, S) ids: (h, caches), h (B·S, d), or (B, d) with
+    pooled_top, where the top layer runs on each sequence's first row."""
     cfg = model.cfg
     b, s = ids.shape
     h = (model.params.token_emb[ids] + model.params.pos_emb[:s]).reshape(b * s, cfg.d)
     layer_caches = []
     for l, lw in enumerate(model.params.layers):
-        a, attn_cache = attention_forward(lw, h, b, cfg.heads)
-        h1, ln1_cache = layer_norm(h + a, lw.ln1_gain, lw.ln1_bias)
+        rows = slice(None, None, s) if pooled_top and l == cfg.layers - 1 else slice(None)
+        a, attn_cache = attention_forward(lw, h, b, cfg.heads, rows)
+        h1, ln1_cache = layer_norm(h[rows] + a, lw.ln1_gain, lw.ln1_bias)
         f, ffn_cache = ffn_forward(lw, h1, gelu)
         h2, ln2_cache = layer_norm(h1 + f, lw.ln2_gain, lw.ln2_bias)
         h, ptrace = _plugin_forward(model.plugin, l, h2, counter, collect)
         if collect:
             layer_caches.append((attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace))
-    return h.reshape(b, s, cfg.d), layer_caches if collect else None, None
+    return h, layer_caches if collect else None
+
+
+def encode(model, ids, counter=None, collect=False, gelu=gelu_cached):
+    """The package's encode without its input checks and routing capture."""
+    h, layer_caches = run_layers(model, ids, counter, collect, gelu, False)
+    return h.reshape(*ids.shape, model.cfg.d), layer_caches, None
 
 
 def classify(params, pooled):
@@ -150,9 +168,21 @@ def classify(params, pooled):
     return pooled @ params.head_weight.T + params.head_bias
 
 
+def classify_forward(model, ids, counter=None, collect=False, gelu=gelu_cached):
+    """The package's classify_forward: the top layer on the pooled rows."""
+    pooled, layer_caches = run_layers(model, ids, counter, collect, gelu, True)
+    return classify(model.params, pooled), (layer_caches, pooled)
+
+
 def classify_backward(model, fw_state, d_logits):
-    """The package's classify_backward, with this module's backward steps."""
-    bundle, pooled, (b, s, d) = fw_state
+    """The package's classify_backward, with this module's backward steps.
+
+    fw_state is (layer caches, pooled rows): classify_forward's, or encode's
+    bundle with hidden[:, 0], whose top layer ran on every row. Then the
+    gradient enters at each sequence's first row and is zero elsewhere: the
+    full-row backward.
+    """
+    bundle, pooled = fw_state
     grads = {
         "head.weight": d_logits.T @ pooled,
         "head.bias": d_logits.sum(axis=0),
@@ -161,11 +191,9 @@ def classify_backward(model, fw_state, d_logits):
         return grads
 
     d_pooled = d_logits @ model.params.head_weight
-    if model.cfg.pooling == "first":
-        d_h = np.zeros((b * s, d), dtype=d_pooled.dtype)
-        d_h[::s] = d_pooled
-    else:
-        d_h = np.repeat(d_pooled / s, s, axis=0)
+    top_rows = len(bundle[-1][3][0])  # the top layer's second norm: B or B·S rows
+    d_h = np.zeros((top_rows, d_pooled.shape[1]), dtype=d_pooled.dtype)
+    d_h[::top_rows // len(d_pooled)] = d_pooled
 
     for l in range(model.cfg.layers - 1, -1, -1):
         attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace = bundle[l]
@@ -178,7 +206,10 @@ def classify_backward(model, fw_state, d_logits):
         d_r2 = layer_norm_backward(ln2_cache, lw.ln2_gain, d_h)
         d_h1 = d_r2 + ffn_backward(lw, ffn_cache, d_r2)
         d_r1 = layer_norm_backward(ln1_cache, lw.ln1_gain, d_h1)
-        d_h = d_r1 + attention_backward(lw, attn_cache, d_r1)
+        d_in = attention_backward(lw, attn_cache, d_r1)
+        d_residual = np.zeros_like(d_in)
+        d_residual[query_rows(attn_cache)] = d_r1
+        d_h = d_residual + d_in
     return grads
 
 

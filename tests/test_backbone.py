@@ -3,8 +3,10 @@ import collections
 import numpy as np
 import pytest
 
-from fdcheck import central_diff, max_rel_err
+import reference
+from fdcheck import max_rel_err
 from spartan import adapter as adapter_mod
+from spartan import bench
 from spartan import memory as memory_mod
 from spartan.backbone import (
     BackboneConfig,
@@ -20,7 +22,7 @@ from spartan.backbone import (
     tokenize,
 )
 from spartan.memory import SpartanConfig
-from spartan.numerics import ParameterError, ShapeError, make_rng
+from spartan.numerics import MacCounter, ParameterError, ShapeError, make_rng
 from spartan.params import iter_tensor_shapes
 from spartan.training import cross_entropy_batch
 
@@ -103,6 +105,12 @@ class TestEncode:
         assert routing[0].shape == (2, 4)
         assert np.allclose(routing[0].sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("pooling", ["mean", "first-token"])
+    def test_pooling_other_than_first_rejected(self, pooling):
+        # the head reads each sequence's first position; classify_* rely on it
+        with pytest.raises(ParameterError, match="pooling must be 'first'"):
+            BackboneConfig(pooling=pooling)
+
     def test_routing_capture_requires_spartan(self):
         model = small_model(8, "adapter")
         with pytest.raises(ParameterError):
@@ -174,24 +182,65 @@ class TestEndToEndGradients:
                 fd[j] = (f1 - f2) / 2e-5
             assert max_rel_err(grads[name].ravel()[picks], fd) <= 1e-6, name
 
-    def test_mean_pooling_gradients(self):
-        cfg = BackboneConfig(d=32, layers=2, heads=2, ffn_dim=48, vocab_hash_buckets=256,
-                             max_seq_len=16, pooling="mean")
-        model = small_model(17, cfg=cfg)
-        ids = np.stack([tokenize("alpha beta", cfg)])
-        labels = np.array([1])
 
-        def loss():
-            logits, _ = classify_forward(model, ids)
-            losses, _ = cross_entropy_batch(logits, labels)
-            return float(losses.mean())
+class TestPooledTopLayer:
+    """classify_forward and classify_backward run the top layer on each
+    sequence's first row only. Against the full-row path (package encode,
+    the head over its first rows, and the reference's full-row backward),
+    the logits and gradients agree up to rounding, and bitwise where S = 1:
+    there both paths run the same products. One-row products run BLAS's
+    matrix-vector kernels, which sum in another order than the matrix
+    kernels a many-row product runs."""
 
+    TOL = {np.float64: 1e-12, np.float32: 1e-5}
+
+    @staticmethod
+    def model(kind, dtype, layers):
+        cfg = bench.BenchConfig(architecture=kind, precision="f32" if dtype == np.float32 else "f64",
+                                d=16, layers=layers, heads=2, ffn_dim=24, bottleneck=4,
+                                num_parents=4, children_per_parent=2, top_k=2, seq_len=5,
+                                num_labels=3, vocab_hash_buckets=64)
+        model = bench.build_bench_model(cfg, make_rng(30))
+        head = model.params.head_weight
+        head[...] = make_rng(31).standard_normal(head.shape)
+        return model
+
+    def assert_close(self, got, want, dtype, where, bitwise):
+        if bitwise:
+            assert got.tobytes() == want.tobytes(), where
+            return
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= self.TOL[dtype] * scale, where
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("s", [1, 5])
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("kind", ["none", "spartan", "adapter", "adapterx2"])
+    def test_matches_the_full_row_path(self, kind, b, s, layers, dtype):
+        model = self.model(kind, dtype, layers)
+        ids = make_rng(32).integers(0, 64, size=(b, s))
         logits, state = classify_forward(model, ids, collect=True)
-        _, d_logits = cross_entropy_batch(logits, labels)
+        hidden, bundle, _ = encode(model, ids, collect=True)
+        full_logits = classify(model.params, hidden[:, 0])
+        self.assert_close(logits, full_logits, dtype, "logits", bitwise=s == 1)
+
+        d_logits = make_rng(33).standard_normal(logits.shape).astype(dtype)
         grads = classify_backward(model, state, d_logits)
-        arr = model.plugin.layers[0][0].parents
-        fd = central_diff(loss, arr)
-        assert max_rel_err(grads["plugin.layer0.parents"], fd) <= 1e-6
+        full = reference.classify_backward(model, (bundle, hidden[:, 0]), d_logits)
+        assert grads.keys() == full.keys()
+        for name, g in grads.items():
+            assert g.dtype == dtype, name
+            self.assert_close(g, full[name], dtype, name, bitwise=False)
+
+    def test_top_layer_runs_on_the_pooled_rows(self):
+        model = self.model("spartan", np.float64, 2)
+        ids = make_rng(34).integers(0, 64, size=(3, 5))
+        counter = MacCounter()
+        _, (bundle, pooled) = classify_forward(model, ids, counter, collect=True)
+        (low,), (top,) = bundle[0][4], bundle[1][4]
+        assert (len(low.x), len(top.x), pooled.shape) == (15, 3, (3, 16))
+        assert counter.rows == 15 + 3
 
 
 class TestSequencesStayIndependent:

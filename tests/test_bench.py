@@ -95,8 +95,11 @@ class TestRunners:
         cfg = BenchConfig(architecture="spartan", **TINY)
         report = run_inference_bench(cfg)
         assert report.instances_per_minute > 0
-        assert report.macs_per_position_per_plugin == count_macs(
-            "spartan", cfg.d, cfg.num_parents, cfg.children_per_parent, cfg.top_k)
+        expect = count_macs("spartan", cfg.d, cfg.num_parents, cfg.children_per_parent,
+                            cfg.top_k)
+        assert report.macs_per_position_per_plugin == expect
+        # classify_forward runs the top layer's plugin on one row per sequence
+        assert report.macs_per_instance == expect * (cfg.seq_len * (cfg.layers - 1) + 1)
 
     def test_finetune_end_to_end(self):
         cfg = BenchConfig(architecture="adapter", **{**TINY, "layers": 1})
@@ -120,13 +123,14 @@ class TestRunners:
     @pytest.mark.parametrize("arch", ARCHITECTURES)
     def test_finetune_macs_are_counted(self, arch, layers):
         # the counter runs inside the training step's forward, so the report
-        # equals the closed form only if every layer's plugin ran as modeled
+        # equals the closed form only if every layer's plugin ran as modeled:
+        # on every position below the top layer, on the pooled row in it
         cfg = BenchConfig(architecture=arch, **{**TINY, "layers": layers})
         report = run_finetune_bench(cfg)
         expect = count_macs(arch, cfg.d, cfg.num_parents, cfg.children_per_parent,
                             cfg.top_k, cfg.bottleneck)
         assert report.macs_per_position_per_plugin == expect
-        assert report.macs_per_instance == expect * cfg.seq_len * cfg.layers
+        assert report.macs_per_instance == expect * (cfg.seq_len * (cfg.layers - 1) + 1)
 
     def test_finetune_arms_compare_in_interleaved_rounds(self):
         arms = {arch: BenchConfig(architecture=arch, **{**TINY, "layers": 1})
@@ -199,11 +203,11 @@ class TestBlasThreads:
     def test_measured_window_runs_one_blas_thread(self, blas_threads, monkeypatch, runner):
         seen, measure = [], bench._measure
 
-        def spying_measure(cfg, mode, step, plugin_layers):
+        def spying_measure(cfg, mode, step):
             def spying_step(counter):
                 seen.append(blas_threads())
                 return step(counter)
-            return measure(cfg, mode, spying_step, plugin_layers)
+            return measure(cfg, mode, spying_step)
 
         monkeypatch.setattr(bench, "_measure", spying_measure)
         before = blas_threads()

@@ -226,6 +226,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "64" in err and "32" in err
 
+    def test_mean_pooling_config_exits_1_with_one_line(self, workdir, capsys):
+        # mean pooling was removed: the head reads each sequence's first position
+        tmp, _, data = workdir
+        conf = {**TINY_CONFIG, "backbone": {**TINY_CONFIG["backbone"], "pooling": "mean"}}
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(conf))
+        code = main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp / "x.json")])
+        assert code == 1
+        _assert_one_line_error(capsys, "config error", "pooling", "'mean'")
+        assert not (tmp / "x.json").exists()
+
     def test_malformed_jsonl_exits_2_with_line(self, workdir, capsys):
         tmp, config, _ = workdir
         bad = tmp / "bad.jsonl"
@@ -586,6 +598,12 @@ class TestCheckpointLoaderErrors:
         self._rewrite(path, lambda h, _: h["config"]["plugin"].update(kind="mystery"))
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", "mystery")
+
+    def test_mean_pooling_checkpoint_exits_2(self, saved, capsys):
+        path, data = saved
+        self._rewrite(path, lambda h, _: h["config"]["backbone"].update(pooling="mean"))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "pooling", "'mean'")
 
     @pytest.mark.parametrize("change, word", [
         ("renamed", "backbone.layer0.wq"), ("reshaped", "head.bias"),

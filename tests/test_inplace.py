@@ -152,6 +152,17 @@ class TestBackboneSteps:
         got = call_untouched(backbone._attention_backward, lw, cache, d_out, earlier=(out,))
         assert_bitwise(got, reference.attention_backward(lw, want_cache, d_out))
 
+    def test_attention_with_pooled_queries(self, dtype, layout):
+        """Queries from each sequence's first row: the top layer of classify_*."""
+        lw, h, d_out, b, heads = self.setup_inputs(dtype, layout)
+        rows = slice(None, None, len(h) // b)
+        d_out = d_out[rows]
+        out, cache = call_untouched(backbone._attention_forward, lw, h, b, heads, rows)
+        want_out, want_cache = reference.attention_forward(lw, h, b, heads, rows)
+        assert_bitwise((out, cache), (want_out, want_cache))
+        got = call_untouched(backbone._attention_backward, lw, cache, d_out, earlier=(out,))
+        assert_bitwise(got, reference.attention_backward(lw, want_cache, d_out))
+
     def test_ffn(self, dtype, layout):
         lw, h, d_out, _, _ = self.setup_inputs(dtype, layout)
         out, cache = call_untouched(backbone._ffn_forward, lw, h)
@@ -174,14 +185,16 @@ def test_encode_classify_and_backward(kind, dtype, b):
     # a second call writes into nothing the first one returned
     call_untouched(backbone.encode, model, ids, None, True, earlier=(hidden, bundle))
 
-    pooled = backbone.pool(model.cfg, hidden)
-    logits = call_untouched(backbone.classify, model.params, pooled)
-    assert_bitwise(logits, reference.classify(model.params, pooled))
+    logits, state = call_untouched(backbone.classify_forward, model, ids, None, True,
+                                   earlier=(hidden, bundle))
+    want_logits, want_state = reference.classify_forward(model, ids, None, True,
+                                                         package_gelu(dtype))
+    assert_bitwise(logits, want_logits)
+    assert digest(state) == digest(want_state)
     d_logits = make_rng(6).standard_normal(logits.shape).astype(dtype)
-    state = (bundle, pooled, hidden.shape)
     grads = call_untouched(backbone.classify_backward, model, state, d_logits,
-                           earlier=(hidden, logits))
-    assert_bitwise(grads, reference.classify_backward(model, state, d_logits))
+                           earlier=(logits,))
+    assert_bitwise(grads, reference.classify_backward(model, want_state, d_logits))
 
 
 @pytest.mark.parametrize("weight_decay", (0.0, 0.01))
@@ -216,8 +229,7 @@ def test_twenty_training_steps_match_the_plain_expressions(kind, monkeypatch):
     want_model = copy.deepcopy(model)
     training.train(model, dataset, cfg)
 
-    monkeypatch.setattr(backbone, "encode", reference.encode)
-    monkeypatch.setattr(backbone, "classify", reference.classify)
+    monkeypatch.setattr(training, "classify_forward", reference.classify_forward)
     monkeypatch.setattr(training, "classify_backward", reference.classify_backward)
     monkeypatch.setattr(training, "adam_step", reference.adam_step)
     monkeypatch.setattr(adapter, "gelu_cached", reference.gelu_cached)

@@ -6,7 +6,15 @@ import pytest
 
 import reference
 from spartan import bench, training as training_mod
-from spartan.backbone import BackboneConfig, Model, init_backbone, iter_named_tensors, make_plugin, tokenize
+from spartan.backbone import (
+    BackboneConfig,
+    Model,
+    classify_forward,
+    init_backbone,
+    iter_named_tensors,
+    make_plugin,
+    tokenize,
+)
 from spartan.data import SyntheticTopicTask, generate_topic_dataset
 from spartan.memory import SpartanConfig
 from spartan.numerics import MacCounter, ParameterError, make_rng
@@ -129,7 +137,8 @@ class TestAdam:
 
 class TestCounterPassThrough:
     """A MAC counter handed to compute_batch_gradients tallies the plugin
-    forward of every layer and changes no result."""
+    forward of every layer and changes no result. The top layer runs on one
+    row per sequence, the lower ones on every position."""
 
     SHAPES = dict(d=32, layers=2, heads=2, ffn_dim=48, num_parents=8, children_per_parent=2,
                   top_k=4, bottleneck=8, vocab_hash_buckets=256, seq_len=8)
@@ -154,10 +163,11 @@ class TestCounterPassThrough:
         for name, g in grads.items():
             assert counted_grads[name].dtype == g.dtype == model.params.head_weight.dtype
             assert counted_grads[name].tobytes() == g.tobytes(), name
-        positions = sum(len(ids) for ids in token_lists)
+        rows = sum(len(ids) for ids in token_lists) * (cfg.layers - 1) + len(token_lists)
+        assert counter.rows == rows
         assert counter.total == bench.count_macs(
             arch, cfg.d, cfg.num_parents, cfg.children_per_parent, cfg.top_k,
-            cfg.bottleneck) * positions * cfg.layers
+            cfg.bottleneck) * rows
 
 
 class TestTrainLoop:
@@ -187,8 +197,9 @@ class TestTrainLoop:
     def test_unselected_parent_rows_get_zero_raw_gradient(self):
         model = make_model(14)
         data = generate_topic_dataset(small_task(per_topic=10), make_rng(15))
-        token_lists = [tokenize(ex.text, model.cfg) for ex in data[:6]]
-        labels = np.asarray([ex.label for ex in data[:6]])
+        # two sequences: their two top-layer rows leave some parents unselected
+        token_lists = [tokenize(ex.text, model.cfg) for ex in data[:2]]
+        labels = np.asarray([ex.label for ex in data[:2]])
         # nonzero head so gradient actually reaches the plugins
         model.params.head_weight[...] = make_rng(16).normal(0, 0.2,
                                                             model.params.head_weight.shape)
@@ -196,19 +207,19 @@ class TestTrainLoop:
             sp.child_values[...] = make_rng(17).normal(0, 0.2, sp.child_values.shape)
         _, grads = compute_batch_gradients(model, token_lists, labels)
 
-        ids = np.stack(token_lists)  # same length by construction
-        from spartan.backbone import encode
-        _, bundle, _ = encode(model, ids, collect=True)
+        # the selections of the step's own forward: same length by construction
+        _, (bundle, _) = classify_forward(model, np.stack(token_lists), collect=True)
+        unselected = 0
         for l in range(model.cfg.layers):
             (ptrace,) = bundle[l][4]
             ever = set(np.unique(ptrace.selected).tolist())
             never = [i for i in range(8) if i not in ever]
-            if not never:
-                continue
+            unselected += len(never)
             for i in never:
                 assert np.all(grads[f"plugin.layer{l}.parents"][i] == 0.0)
                 assert np.all(grads[f"plugin.layer{l}.child_keys"][i] == 0.0)
                 assert np.all(grads[f"plugin.layer{l}.child_values"][i] == 0.0)
+        assert unselected > 0
 
     def test_nonfinite_loss_aborts_with_step_number(self):
         # max-subtracted softmaxes keep ordinary divergence finite, so inject
