@@ -15,10 +15,10 @@ gradients w.r.t. non-selected parents exactly zero, not merely small.
 There is one implementation, over a block of positions: `forward_batch`
 groups positions by which parents of a small block of parents they selected,
 so the child work runs as dense products over exactly the selected children.
-`backward_batch`, its exact gradient, reuses those groups, and takes the
-parent gradient as two dense products through a (T, N) matrix that is zero
-off the selected parents. The tests compare both against an independent
-per-position reference and against finite differences.
+`backward_batch`, its exact gradient, reuses those groups for the parent
+gradient too, so no product in it covers an unselected parent; only the
+forward's routing scores every parent. The tests compare both against an
+independent per-position reference and against finite differences.
 
 The layer's tensors, their shapes and how each starts are declared once, in
 `SpartanLayerParams.shapes`; `init_params` draws a fresh layer from it.
@@ -257,16 +257,19 @@ def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndar
     """Batched backward; parameter gradients are summed over positions and
     d_input is the full (T, d) activation gradient. It reuses the forward's
     groups: per group, D = d_out_g @ V_cols.T gives every u[t, k] =
-    d_out[t] . v[t, k] and child attention gradient, and the parent gradient
-    goes through a dense (T, N) dL, zero off the selected parents."""
+    d_out[t] . v[t, k] and child attention gradient. Each pair's parent logit
+    gradient rides as a column after its c child key logit gradients: one
+    product against the [child keys; parent] rows of the group's parents
+    updates d_input, one against x[pos] gives both gradients, as views of one
+    (N, c+1, d) buffer. No product covers an unselected parent."""
     cfg = params.cfg
     n, c, d = cfg.num_parents, cfg.children_per_parent, cfg.d
     if d_out.shape != trace.x.shape:
         raise ShapeError(f"d_out shape {d_out.shape} != {trace.x.shape}")
-    x, w, t = trace.x, trace.agg_weights, trace.x.shape[0]
-    key_rows, value_rows = params.child_keys.reshape(n * c, d), params.child_values.reshape(n * c, d)
-    g_keys, g_values = np.zeros_like(params.child_keys), np.zeros_like(params.child_values)
-    gk, gv = g_keys.reshape(n * c, d), g_values.reshape(n * c, d)
+    x, w = trace.x, trace.agg_weights
+    value_rows, g_values = params.child_values.reshape(n * c, d), np.zeros_like(params.child_values)
+    gv = g_values.reshape(n * c, d)
+    g_rows = np.zeros((n, c + 1, d), dtype=params.child_keys.dtype)  # [child keys; parent] per parent
     # every group's pair rows, in group order, and each group's span of them
     pair = np.concatenate([np.empty(0, np.intp)] + [g[2] for g in trace.groups])
     attn = np.concatenate([np.empty((0, c), w.dtype)] + [g[3] for g in trace.groups])
@@ -279,16 +282,17 @@ def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndar
         np.matmul(dg, value_rows[cols].T, out=d_attn[s].reshape(len(pos), -1))
         gv[cols] += coef[s].reshape(len(pos), -1).T @ dg
     u_pairs = np.einsum("ic,ic->i", attn, d_attn)
-    d_klog = coef * (d_attn - u_pairs[:, None])        # child key logit gradient
     u = np.empty_like(w, dtype=u_pairs.dtype)
     u.flat[pair] = u_pairs
-    d_logits = np.zeros((t, n), dtype=u.dtype)
-    np.put_along_axis(d_logits, trace.selected, w * (u - (u * w).sum(axis=1, keepdims=True)), 1)
-    d_x = d_logits @ params.parents
-    d_x += d_out
-    g_parents = d_logits.T @ x
+    # per pair: its child key logit gradients, then its parent logit gradient
+    d_cols = np.empty((len(pair), c + 1), dtype=coef.dtype)
+    np.multiply(coef, d_attn - u_pairs[:, None], out=d_cols[:, :c])
+    d_cols[:, c] = (w * (u - (u * w).sum(axis=1, keepdims=True))).ravel()[pair]
+    d_x = d_out.astype(d_cols.dtype)
     for cols, pos, s in spans:
-        dk = d_klog[s].reshape(len(pos), -1)
-        gk[cols] += dk.T @ x[pos]
-        d_x[pos] += dk @ key_rows[cols]
-    return SpartanGradients(g_parents, g_keys, g_values, d_x)
+        parents = slice(cols.start // c, cols.stop // c) if isinstance(cols, slice) else cols[::c] // c
+        dl = d_cols[s].reshape(len(pos), -1)
+        rows = np.concatenate((params.child_keys[parents], params.parents[parents, None]), axis=1)
+        d_x[pos] += dl @ rows.reshape(-1, d)
+        g_rows[parents] += (dl.T @ x[pos]).reshape(-1, c + 1, d)
+    return SpartanGradients(g_rows[:, c], g_rows[:, :c], g_values, d_x)

@@ -328,6 +328,40 @@ def memory_backward(params, trace: PositionTrace, d_output) -> SpartanGradients:
     return SpartanGradients(g_parents, g_keys, g_values, d_x)
 
 
+def memory_backward_dense(params, trace, d_out) -> SpartanGradients:
+    """The memory layer's batched backward over a forward_batch trace, with
+    the parent gradient taken through a dense (T, N) matrix that is zero off
+    the selected parents: two full products, d_logits @ parents and
+    d_logits.T @ x. The child gradients go through the trace's groups, one
+    product per group and tensor. An oracle for backward_batch, which takes
+    the parent gradient through the groups instead."""
+    n, c, d = params.cfg.num_parents, params.cfg.children_per_parent, params.cfg.d
+    x, w, t = trace.x, trace.agg_weights, trace.x.shape[0]
+    key_rows = params.child_keys.reshape(n * c, d)
+    value_rows = params.child_values.reshape(n * c, d)
+    g_keys, g_values = np.zeros_like(params.child_keys), np.zeros_like(params.child_values)
+    gk, gv = g_keys.reshape(n * c, d), g_values.reshape(n * c, d)
+    u = np.zeros_like(w)
+    d_klogs = []
+    for cols, pos, pair, attn in trace.groups:
+        coef = attn * w.ravel()[pair][:, None]
+        dg = d_out[pos]
+        d_attn = (dg @ value_rows[cols].T).reshape(len(pair), c)
+        gv[cols] += coef.reshape(len(pos), -1).T @ dg
+        u_pairs = np.einsum("ic,ic->i", attn, d_attn)
+        u.flat[pair] = u_pairs
+        d_klogs.append(coef * (d_attn - u_pairs[:, None]))
+    d_logits = np.zeros((t, n), dtype=u.dtype)
+    np.put_along_axis(d_logits, trace.selected, w * (u - (u * w).sum(axis=1, keepdims=True)), 1)
+    d_x = d_logits @ params.parents + d_out
+    g_parents = d_logits.T @ x
+    for (cols, pos, _, _), d_klog in zip(trace.groups, d_klogs):
+        dk = d_klog.reshape(len(pos), -1)
+        gk[cols] += dk.T @ x[pos]
+        d_x[pos] += dk @ key_rows[cols]
+    return SpartanGradients(g_parents, g_keys, g_values, d_x)
+
+
 def dense_forward(params, x):
     """The layer without sparsity at one position: every parent contributes
     with its full softmax weight."""

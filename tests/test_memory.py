@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -373,10 +375,10 @@ class TestBatchedPath:
             assert np.all(g.child_keys[i] == 0.0)
             assert np.all(g.child_values[i] == 0.0)
 
-    @pytest.mark.parametrize("t, block", [(6, 1), (240, 4)])
+    @pytest.mark.parametrize("t, block", [(6, 1), (120, 2), (240, 4)])
     def test_backward_batch_matches_central_finite_differences(self, t, block):
-        # criterion 01's bound on the production path, one parent per block
-        # and four; every position is kept off top-K ties
+        # criterion 01's bound on the production path, one, two and four
+        # parents per block; every position is kept off top-K ties
         cfg = SpartanConfig(d=3, num_parents=4, children_per_parent=2, top_k=2)
         assert _block_size(cfg.num_parents, t) == block
         params, x = sample_spartan_instance(90 + t, cfg, positions=t)
@@ -391,6 +393,47 @@ class TestBatchedPath:
         assert max_rel_err(g.child_keys, central_diff(loss, params.child_keys)) <= 1e-6
         assert max_rel_err(g.child_values, central_diff(loss, params.child_values)) <= 1e-6
         assert max_rel_err(g.d_input, central_diff(loss, x)) <= 1e-6
+
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    @pytest.mark.parametrize("n, k, t, block", [(64, 4, 500, 1), (256, 8, 1024, 1),
+                                                (64, 4, 2000, 2), (10, 3, 800, 4), (16, 8, 1024, 4)])
+    def test_backward_batch_matches_the_dense_parent_oracle(self, n, k, t, block, dtype, tol):
+        # the parent gradient through the groups against the dense (T, N)
+        # products; N=10 leaves a short last block, and K=3 of a block of 4
+        # gives non-contiguous patterns
+        cfg = SpartanConfig(d=6, num_parents=n, children_per_parent=3, top_k=k)
+        assert _block_size(n, t) == block
+        p, rng = random_params(cfg, 85 + n + t)
+        params = SpartanLayerParams(cfg, p.parents.astype(dtype), p.child_keys.astype(dtype),
+                                    p.child_values.astype(dtype))
+        x, d_out = rng.normal(size=(2, t, 6)).astype(dtype)
+        _, trace = forward_batch(params, x, collect_trace=True)
+        if n == 10:
+            assert any(isinstance(cols, np.ndarray) for cols, _, _, _ in trace.groups)
+        g = backward_batch(params, trace, d_out)
+        ref = reference.memory_backward_dense(params, trace, d_out)
+        for name in ("parents", "child_keys", "child_values", "d_input"):
+            want = getattr(ref, name)
+            assert getattr(g, name).dtype == dtype
+            assert np.max(np.abs(getattr(g, name) - want)) <= tol * np.max(np.abs(want)), name
+        unused = ~np.isin(np.arange(n), trace.selected)
+        assert np.all(g.parents[unused] == 0.0) and np.all(g.child_keys[unused] == 0.0)
+
+    def test_backward_batch_builds_nothing_positions_by_parents(self):
+        # one (T, N) float64 array here is 33.5 MB; the backward's own
+        # arrays are (T, d), (T*K, c+1) and (N, c+1, d)
+        cfg = SpartanConfig(d=8, num_parents=2048, children_per_parent=3, top_k=2)
+        t = 2048
+        params, rng = random_params(cfg, 86)
+        _, trace = forward_batch(params, rng.normal(size=(t, 8)), collect_trace=True)
+        d_out = rng.normal(size=(t, 8))
+        tracemalloc.start()
+        try:
+            backward_batch(params, trace, d_out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < t * cfg.num_parents * 8 / 8
 
     @pytest.mark.parametrize("n, k, t", [(16, 8, 1024), (10, 3, 800), (64, 4, 4000)])
     def test_block_grouped_path_matches_per_position(self, n, k, t):
