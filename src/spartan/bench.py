@@ -173,7 +173,10 @@ def _dtype(cfg: BenchConfig):
 def build_plugin_spec(cfg: BenchConfig, layers: int, rng: np.random.Generator) -> PluginSpec:
     """Plugin parameters for `layers` instances at the bench shapes, randomized
     (zero-initialized matrices included; identity-at-init would undercount
-    real work)."""
+    real work). At f64 it also imports scipy's erf, which numerics loads on
+    the first float64 gelu, so that no timed batch pays for the import."""
+    if cfg.precision == "f64":
+        import scipy.special  # noqa: F401
     # heads=1: the throwaway config only sizes plugin tensors
     bb_cfg = BackboneConfig(d=cfg.d, layers=layers, heads=1, ffn_dim=cfg.ffn_dim,
                             vocab_hash_buckets=cfg.vocab_hash_buckets,

@@ -109,17 +109,20 @@ class BatchTrace:
     """What backward_batch needs from a forward_batch over (T, d) positions.
 
     Per position: the parent softmax, the selected parents (ascending) and
-    their renormalized weights. Per nonempty (block, pattern) group of the
-    forward, views of its arrays: the child rows of the pattern's parents,
-    the group's positions (ascending), its pair indices t*K + k in group
-    order, and their child attention. Child value outputs are not stored,
-    which keeps trace memory at O(T*K*c) instead of O(T*K*d).
+    their renormalized weights. Per pair, in the forward's group order: its
+    index t*K + k and its child attention. Per nonempty (block, pattern)
+    group, views of those: the child rows of the pattern's parents, the
+    group's positions (ascending), and its span of `pair` and `attn`. Child
+    value outputs are not stored, which keeps trace memory at O(T*K*c)
+    instead of O(T*K*d).
     """
 
     x: np.ndarray              # (T, d)
     parent_probs: np.ndarray   # (T, N)
     selected: np.ndarray       # (T, K)
     agg_weights: np.ndarray    # (T, K)
+    pair: np.ndarray           # (T*K,) pair index t*K + k, group order
+    attn: np.ndarray           # (T*K, c) child attention, group order
     groups: list               # (cols, pos, pair, attn (len(pair), c)) per nonempty group
     output: np.ndarray         # (T, d)
 
@@ -225,21 +228,23 @@ def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter
     children = _pattern_children(n, b, c)
     key_rows = params.child_keys.reshape(n * c, d)
     value_rows = params.child_values.reshape(n * c, d)
-    edges, first = bounds.tolist(), first.tolist()  # plain ints index faster below
-    groups = [(cols, lo, hi) for cols, lo, hi in zip(children, edges, edges[1:])
+    # each group's entries lo:hi and pairs a:z, as plain ints: they index faster
+    edges, pair_edges = bounds.tolist(), first[bounds].tolist()
+    groups = [(cols, lo, hi, a, z)
+              for cols, lo, hi, a, z in zip(children, edges, edges[1:], pair_edges, pair_edges[1:])
               if cols is not None and lo < hi]
     key_logits = np.empty((t * K, c), dtype=dtype)
     key_macs = value_macs = 0
-    for cols, lo, hi in groups:
+    for cols, lo, hi, a, z in groups:
         keys = key_rows[cols]
-        np.matmul(x[pos[lo:hi]], keys.T, out=key_logits[first[lo]:first[hi]].reshape(hi - lo, -1))
+        np.matmul(x[pos[lo:hi]], keys.T, out=key_logits[a:z].reshape(hi - lo, -1))
         key_macs += (hi - lo) * d * len(keys)
     attn = softmax_rows(key_logits)                    # (T*K, c), pair order
     coef = attn * w.ravel()[pair][:, None]
 
-    for cols, lo, hi in groups:
+    for cols, lo, hi, a, z in groups:
         values = value_rows[cols]
-        out[pos[lo:hi]] += coef[first[lo]:first[hi]].reshape(hi - lo, -1) @ values
+        out[pos[lo:hi]] += coef[a:z].reshape(hi - lo, -1) @ values
         value_macs += (hi - lo) * len(values) * d
     if counter is not None:
         counter.add("parent_scores", t * n * d)
@@ -247,10 +252,9 @@ def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter
         counter.add("child_values", value_macs)
     if not collect_trace:
         return out, None
-    groups = [(cols, pos[lo:hi], pair[first[lo]:first[hi]], attn[first[lo]:first[hi]])
-              for cols, lo, hi in groups]
-    return out, BatchTrace(x=x, parent_probs=probs, selected=selected,
-                           agg_weights=w, groups=groups, output=out)
+    groups = [(cols, pos[lo:hi], pair[a:z], attn[a:z]) for cols, lo, hi, a, z in groups]
+    return out, BatchTrace(x=x, parent_probs=probs, selected=selected, agg_weights=w,
+                           pair=pair, attn=attn, groups=groups, output=out)
 
 
 def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndarray) -> SpartanGradients:
@@ -261,18 +265,18 @@ def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndar
     gradient rides as a column after its c child key logit gradients: one
     product against the [child keys; parent] rows of the group's parents
     updates d_input, one against x[pos] gives both gradients, as views of one
-    (N, c+1, d) buffer. No product covers an unselected parent."""
+    (N, c+1, d) buffer; the [child keys; parent] rows are stacked once per
+    call. No product covers an unselected parent."""
     cfg = params.cfg
     n, c, d = cfg.num_parents, cfg.children_per_parent, cfg.d
     if d_out.shape != trace.x.shape:
         raise ShapeError(f"d_out shape {d_out.shape} != {trace.x.shape}")
-    x, w = trace.x, trace.agg_weights
+    x, w, pair, attn = trace.x, trace.agg_weights, trace.pair, trace.attn
     value_rows, g_values = params.child_values.reshape(n * c, d), np.zeros_like(params.child_values)
     gv = g_values.reshape(n * c, d)
-    g_rows = np.zeros((n, c + 1, d), dtype=params.child_keys.dtype)  # [child keys; parent] per parent
-    # every group's pair rows, in group order, and each group's span of them
-    pair = np.concatenate([np.empty(0, np.intp)] + [g[2] for g in trace.groups])
-    attn = np.concatenate([np.empty((0, c), w.dtype)] + [g[3] for g in trace.groups])
+    rows = np.concatenate((params.child_keys, params.parents[:, None]), axis=1)
+    g_rows = np.zeros(rows.shape, dtype=params.child_keys.dtype)  # [child keys; parent] per parent
+    # each group's span of the pair rows
     ends = itertools.accumulate(len(g[2]) for g in trace.groups)
     spans = [(cols, pos, slice(z - len(p), z)) for (cols, pos, p, _), z in zip(trace.groups, ends)]
     coef = attn * w.ravel()[pair][:, None]
@@ -292,7 +296,6 @@ def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndar
     for cols, pos, s in spans:
         parents = slice(cols.start // c, cols.stop // c) if isinstance(cols, slice) else cols[::c] // c
         dl = d_cols[s].reshape(len(pos), -1)
-        rows = np.concatenate((params.child_keys[parents], params.parents[parents, None]), axis=1)
-        d_x[pos] += dl @ rows.reshape(-1, d)
+        d_x[pos] += dl @ rows[parents].reshape(-1, d)
         g_rows[parents] += (dl.T @ x[pos]).reshape(-1, c + 1, d)
     return SpartanGradients(g_rows[:, c], g_rows[:, :c], g_values, d_x)

@@ -2,6 +2,8 @@ import ctypes
 import glob
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -237,6 +239,23 @@ class TestReportedDtype:
         assert report.environment["blas"]["name"]
         assert set(report.environment["blas_threads_env"]) == {"OPENBLAS_NUM_THREADS",
                                                                "OMP_NUM_THREADS"}
+
+
+class TestFloat64Erf:
+    @pytest.mark.parametrize("build", ["build_bench_model(cfg, rng)", "build_plugin_spec(cfg, 1, rng)"])
+    @pytest.mark.parametrize("precision, loaded", [("f32", False), ("f64", True)])
+    def test_float64_build_loads_scipy_before_any_timed_batch(self, build, precision, loaded):
+        # numerics imports scipy on the first float64 gelu; a float64 build
+        # imports it first, so that a run with no warm-up does not time it.
+        # A fresh interpreter, because this one loaded scipy for other tests.
+        code = (f"import sys\nfrom spartan.bench import BenchConfig, build_bench_model, "
+                f"build_plugin_spec\nfrom spartan.numerics import make_rng\n"
+                f"cfg, rng = BenchConfig(precision={precision!r}, **{TINY!r}), make_rng(0)\n"
+                f"{build}\nprint('scipy.special' in sys.modules)")
+        run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             timeout=300, env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == [str(loaded)]
 
 
 class TestValidation:

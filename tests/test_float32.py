@@ -3,8 +3,13 @@
 Under numpy 2 promotion an np.float64 scalar turns every float32 array it
 touches into float64, so a single such constant silently reruns a "float32"
 model in float64. These tests pin the dtype through each numerics op, both
-plugins, the batched memory layer and the encoder.
+plugins, the batched memory layer and the encoder, and check that the float32
+paths run without loading scipy.
 """
+
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -89,7 +94,7 @@ class TestPlugins:
         x = normal32(rng, 40, 12)
         out, trace = forward_batch(params, x, collect_trace=True)
         grads = backward_batch(params, trace, normal32(rng, 40, 12))
-        assert all_float32([out, trace.parent_probs, trace.agg_weights]
+        assert all_float32([out, trace.parent_probs, trace.agg_weights, trace.attn]
                            + [g[3] for g in trace.groups])
         assert all_float32(vars(grads).values())
 
@@ -110,3 +115,39 @@ def test_encode_and_classify_backward_stay_float32(architecture):
     grads = classify_backward(model, state, d_logits)
     assert logits.dtype == F32
     assert all_float32(grads.values()), {k: v.dtype for k, v in grads.items()}
+
+
+# Run in a fresh interpreter, because this one loaded scipy for other tests.
+F32_WITHOUT_SCIPY = """
+import sys
+import numpy as np
+from spartan import bench, cli
+from spartan.backbone import encode
+from spartan.memory import SpartanConfig, SpartanLayerParams, backward_batch, forward_batch, init_params
+from spartan.numerics import gelu_cached, make_rng
+
+rng = make_rng(6)
+for architecture in ("adapter", "spartan"):
+    cfg = bench.BenchConfig(architecture=architecture, precision="f32", d=16, layers=2, heads=2,
+                            ffn_dim=24, num_parents=6, children_per_parent=2, top_k=3,
+                            bottleneck=4, batch_size=3, seq_len=5, vocab_hash_buckets=64)
+    model = bench.build_bench_model(cfg, rng)
+    assert encode(model, rng.integers(0, 64, size=(3, 5)))[0].dtype == np.float32
+cfg = SpartanConfig(d=12, num_parents=8, children_per_parent=3, top_k=3)
+params = SpartanLayerParams(cfg, *(getattr(init_params(cfg, rng), name).astype(np.float32)
+                                   for name in ("parents", "child_keys", "child_values")))
+x = rng.normal(size=(40, 12)).astype(np.float32)
+out, trace = forward_batch(params, x, collect_trace=True)
+backward_batch(params, trace, x)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+gelu_cached(np.linspace(-3.0, 3.0, 7))
+print("scipy.special" in sys.modules)
+"""
+
+
+def test_float32_paths_never_import_scipy():
+    run = subprocess.run([sys.executable, "-c", F32_WITHOUT_SCIPY], capture_output=True,
+                         text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == ["[]", "True"], run.stdout
