@@ -5,7 +5,8 @@ and `tensors`: the [name, shape] of every tensor in `iter_named_tensors`
 order. The body is those tensors' values in the same order as little-endian
 float64, a float32 tensor widened exactly, so save/load is bitwise lossless.
 The format fixes the dtype and the schema says which tensors train, so the
-file stores neither.
+file stores neither. `checkpoint_bytes` counts a file through the same header
+encoder `save_checkpoint` writes through; `spartan params` reports its figures.
 
 Loading builds a blank model from the config echo, checks the header's tensor
 list against that model's schema walk, and reads each tensor's bytes straight
@@ -33,14 +34,33 @@ FORMAT_VERSION = 2
 BODY_DTYPE = np.dtype("<f8")
 
 
-def plugin_config_dict(model: Model) -> dict:
-    stack = model.plugin.layers[0]
-    return {"kind": model.plugin.kind, **(asdict(stack[0].cfg) if stack else {})}
-
-
 def _tensor_list(model: Model) -> list:
     """[name, shape] of every tensor, in schema order: the header's check."""
     return [[name, list(arr.shape)] for name, arr, _ in iter_named_tensors(model)]
+
+
+def _header_line(model: Model, seed: int, label_manifest, extra_config) -> bytes:
+    """The file's first line: the JSON header and its newline."""
+    stack = model.plugin.layers[0]
+    return json.dumps({
+        "format_version": FORMAT_VERSION,
+        "seed": seed,
+        "label_manifest": label_manifest or {},
+        "config": {
+            "backbone": asdict(model.cfg),
+            "plugin": {"kind": model.plugin.kind, **(asdict(stack[0].cfg) if stack else {})},
+            "num_labels": model.params.num_labels,
+            **(extra_config or {}),
+        },
+        "tensors": _tensor_list(model),
+    }).encode("utf-8") + b"\n"
+
+
+def checkpoint_bytes(model: Model) -> tuple[int, int]:
+    """(header, body) bytes of save_checkpoint(path, model, seed=0)'s file; run
+    metadata lengthens the header only. Shapes suffice: zero-stride models work."""
+    scalars = sum(arr.size for _, arr, _ in iter_named_tensors(model))
+    return len(_header_line(model, 0, None, None)), BODY_DTYPE.itemsize * scalars
 
 
 def save_checkpoint(path, model: Model, seed: int, label_manifest: dict | None = None,
@@ -48,20 +68,8 @@ def save_checkpoint(path, model: Model, seed: int, label_manifest: dict | None =
     for name, arr, _ in iter_named_tensors(model):
         if not np.isfinite(arr).all():
             raise NumericalError(f"tensor {name} has non-finite values; {path} not written")
-    header = {
-        "format_version": FORMAT_VERSION,
-        "seed": seed,
-        "label_manifest": label_manifest or {},
-        "config": {
-            "backbone": asdict(model.cfg),
-            "plugin": plugin_config_dict(model),
-            "num_labels": model.params.num_labels,
-            **(extra_config or {}),
-        },
-        "tensors": _tensor_list(model),
-    }
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header).encode("utf-8") + b"\n")
+        fh.write(_header_line(model, seed, label_manifest, extra_config))
         for _, arr, _ in iter_named_tensors(model):
             fh.write(np.ascontiguousarray(arr, dtype=BODY_DTYPE).data)
 

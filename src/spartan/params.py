@@ -8,23 +8,20 @@ the report surfaces the gap rather than silently reconciling it.
 
 Shapes come from the tensor schema in `backbone`: a model of the requested
 configuration is built from zero-stride views, which cost no memory, and
-walked exactly as `iter_named_tensors` walks a real one.
+walked exactly as `iter_named_tensors` walks a real one. Storage is what
+`checkpoint` counts for that model's file, which holds the frozen backbone too.
 """
 
 from __future__ import annotations
 
-import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import adapter as adapter_mod
 from . import memory as memory_mod
 from .backbone import BackboneConfig, empty_model, iter_named_tensors, plugin_config
+from .checkpoint import checkpoint_bytes
 from .numerics import ParameterError
-
-BYTES_PER_SCALAR = 4
 
 
 @dataclass
@@ -37,14 +34,11 @@ class ParamReport:
     total_formula: int | None       # closed form; sparse-memory plugin only
     formula_added_per_task: int | None
     total_enumerated: int
-    storage_bytes: int
-    manifest_overhead_bytes: int
-
-    @property
-    def formula_gap_fraction(self) -> float | None:
-        if self.formula_added_per_task is None or self.added_params_per_task == 0:
-            return None
-        return (self.formula_added_per_task - self.added_params_per_task) / self.added_params_per_task
+    body_bytes: int                 # exact for every checkpoint of this config
+    header_bytes: int               # the config echo: seed 0, no run metadata
+    task_file_bytes: int            # header + body: one task's checkpoint
+    all_task_files_bytes: int       # tasks x task_file_bytes
+    formula_gap_fraction: float | None  # (closed form - enumerated) / enumerated, per task
 
 
 def spartan_formula_total(n_base: int, t: int, p: int, c: int, d: int, l: int) -> int:
@@ -59,104 +53,80 @@ def spartan_formula_added(t: int, p: int, c: int, d: int, l: int) -> int:
     return spartan_formula_total(0, t, p, c, d, l)
 
 
-def _shape_only(shape) -> np.ndarray:
-    return np.broadcast_to(np.zeros(()), shape)
-
-
-def iter_tensor_shapes(cfg: BackboneConfig, num_labels: int, plugin_kind: str,
-                       spartan_cfg: memory_mod.SpartanConfig | None = None,
-                       adapter_cfg: adapter_mod.AdapterConfig | None = None):
-    """(name, shape, trainable) for every tensor a model of this configuration
-    would hold, in iter_named_tensors order, without allocating it."""
-    pcfg = plugin_config(plugin_kind, cfg.d, spartan_cfg, adapter_cfg)
-    model = empty_model(cfg, num_labels, plugin_kind, pcfg, alloc=_shape_only)
-    for name, arr, trainable in iter_named_tensors(model):
-        yield name, arr.shape, trainable
-
-
-def count_from_shapes(cfg: BackboneConfig, num_labels: int, plugin_kind: str,
-                      spartan_cfg=None, adapter_cfg=None) -> dict:
-    """Scalar counts split frozen / plugin / head, and each tensor's shape,
-    computed from the configuration's shapes alone."""
-    frozen = plugin = head = 0
-    shapes = {}
-    for name, shape, is_trainable in iter_tensor_shapes(cfg, num_labels, plugin_kind,
-                                                        spartan_cfg, adapter_cfg):
-        n = math.prod(shape)
-        if not is_trainable:
-            frozen += n
-        elif name.startswith("plugin."):
-            plugin += n
-        else:
-            head += n
-        shapes[name] = list(shape)
-    return {"frozen": frozen, "plugin": plugin, "head": head,
-            "trainable": plugin + head, "total": frozen + plugin + head, "shapes": shapes}
-
-
 def build_report(cfg: BackboneConfig, num_labels: int, plugin_kind: str, tasks: int = 1,
                  spartan_cfg=None, adapter_cfg=None) -> ParamReport:
     """Multi-task accounting: one frozen backbone serves `tasks` plugin copies.
 
     The per-task additions scale the plugin tensors only; the task head is
     reported on its own line so the plugin count stays comparable across
-    architectures.
+    architectures. The byte figures are those of the checkpoint files.
     """
     if tasks < 1:
         raise ParameterError(f"tasks must be >= 1, got {tasks}")
-    counts = count_from_shapes(cfg, num_labels, plugin_kind, spartan_cfg, adapter_cfg)
-    backbone = counts["frozen"]
-    added = counts["plugin"]
-    total_enum = backbone + tasks * added
-
-    total_formula = formula_added = None
     pcfg = plugin_config(plugin_kind, cfg.d, spartan_cfg, adapter_cfg)
+    model = empty_model(cfg, num_labels, plugin_kind, pcfg,
+                        alloc=lambda shape: np.broadcast_to(np.zeros(()), shape))
+    backbone = added = head = 0
+    for name, arr, trainable in iter_named_tensors(model):
+        if not trainable:
+            backbone += arr.size
+        elif name.startswith("plugin."):
+            added += arr.size
+        else:
+            head += arr.size
+
+    total_formula = formula_added = gap = None
     if isinstance(pcfg, memory_mod.SpartanConfig):  # the closed form models the memory layer only
         total_formula = spartan_formula_total(backbone, tasks, pcfg.num_parents,
                                               pcfg.children_per_parent, pcfg.d, cfg.layers)
         formula_added = spartan_formula_added(1, pcfg.num_parents,
                                               pcfg.children_per_parent, pcfg.d, cfg.layers)
-    manifest = json.dumps(counts["shapes"]).encode("utf-8")
+        gap = (formula_added - added) / added
+    header, body = checkpoint_bytes(model)
     return ParamReport(
         plugin_kind=plugin_kind,
         backbone_params=backbone,
         added_params_per_task=added,
-        head_params=counts["head"],
+        head_params=head,
         tasks=tasks,
         total_formula=total_formula,
         formula_added_per_task=formula_added,
-        total_enumerated=total_enum,
-        storage_bytes=BYTES_PER_SCALAR * total_enum,
-        manifest_overhead_bytes=len(manifest),
+        total_enumerated=backbone + tasks * added,
+        body_bytes=body,
+        header_bytes=header,
+        task_file_bytes=header + body,
+        all_task_files_bytes=tasks * (header + body),
+        formula_gap_fraction=gap,
     )
 
 
 def report_to_dict(report: ParamReport) -> dict:
-    out = {k: getattr(report, k) for k in (
-        "plugin_kind", "backbone_params", "added_params_per_task", "head_params",
-        "tasks", "total_formula", "formula_added_per_task", "total_enumerated",
-        "storage_bytes", "manifest_overhead_bytes")}
-    out["formula_gap_fraction"] = report.formula_gap_fraction
-    return out
+    return asdict(report)
 
 
 def render_table(report: ParamReport) -> str:
+    closed = report.total_formula is not None
+    total = report.backbone_params + report.added_params_per_task + report.head_params
+    trained = (report.added_params_per_task + report.head_params) / total
     rows = [
         ("plugin kind", report.plugin_kind),
         ("backbone (frozen)", f"{report.backbone_params:,}"),
         ("added per task (plugin, enumerated)", f"{report.added_params_per_task:,}"),
+        closed and ("added per task (closed form)", f"{report.formula_added_per_task:,}"),
         ("task head (reported separately)", f"{report.head_params:,}"),
         ("tasks", str(report.tasks)),
         ("total, enumerated", f"{report.total_enumerated:,}"),
-        ("storage at 4 B/scalar", f"{report.storage_bytes:,} B"),
-        ("manifest overhead", f"{report.manifest_overhead_bytes:,} B"),
+        closed and ("total, closed form", f"{report.total_formula:,}"),
+        ("checkpoint body", f"{report.body_bytes:,} B ({report.body_bytes // total} B/scalar, "
+                            "the same in every file of this config)"),
+        ("checkpoint header", f"{report.header_bytes:,} B (config echo, seed 0, no run metadata)"),
+        ("one task file", f"{report.task_file_bytes:,} B"),
+        (f"{report.tasks} task file(s)", f"{report.all_task_files_bytes:,} B (each repeats the "
+                                          f"frozen backbone; {trained:.1%} of its scalars train)"),
+        closed and ("closed form vs enumeration",
+                    f"{report.formula_gap_fraction:+.1%} (the closed form doubles the parent "
+                    f"term; enumeration is the ground truth)"),
     ]
-    if report.total_formula is not None:
-        gap = report.formula_gap_fraction
-        rows.insert(6, ("total, closed form", f"{report.total_formula:,}"))
-        rows.insert(3, ("added per task (closed form)", f"{report.formula_added_per_task:,}"))
-        rows.append(("closed form vs enumeration",
-                     f"{gap:+.1%} (the closed form doubles the parent term; "
-                     f"enumeration is the ground truth)"))
+    rows = [row for row in rows if row]
     width = max(len(r[0]) for r in rows)
     return "\n".join(f"{name:<{width}}  {val}" for name, val in rows)

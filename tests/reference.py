@@ -25,7 +25,9 @@ from spartan.backbone import (
     _plugin_backward,
     _plugin_forward,
     _split_heads,
+    empty_model,
     iter_named_tensors,
+    plugin_config,
 )
 from spartan.memory import SpartanConfig, SpartanGradients, SpartanLayerParams
 from spartan.numerics import layer_norm
@@ -267,6 +269,16 @@ def nmi_bruteforce(table) -> float:
 def adapter_param_count(cfg) -> int:
     """Scalars per adapter instance: 2*d*b + b + d + 2*d."""
     return 2 * cfg.d * cfg.bottleneck + cfg.bottleneck + cfg.d + 2 * cfg.d
+
+
+def iter_tensor_shapes(cfg, num_labels, kind, spartan_cfg=None, adapter_cfg=None):
+    """(name, shape, trainable) of every tensor a model of this configuration
+    would hold, walked on zero-stride views as params.build_report walks it."""
+    pcfg = plugin_config(kind, cfg.d, spartan_cfg, adapter_cfg)
+    model = empty_model(cfg, num_labels, kind, pcfg,
+                        alloc=lambda shape: np.broadcast_to(np.zeros(()), shape))
+    for name, arr, trainable in iter_named_tensors(model):
+        yield name, arr.shape, trainable
 
 
 def enumerate_params(model) -> dict:

@@ -294,10 +294,10 @@ def test_criterion_09_parameter_accounting():
         assert "closed form vs enumeration" in table
 
         acfg = AdapterConfig(d=768, bottleneck=64)
-        single = params_mod.count_from_shapes(backbone, 2, "adapter", adapter_cfg=acfg)
-        double = params_mod.count_from_shapes(backbone, 2, "adapterx2", adapter_cfg=acfg)
-        assert double["plugin"] == 2 * single["plugin"]
-        assert single["plugin"] // backbone.layers == 100_672
+        single = params_mod.build_report(backbone, 2, "adapter", adapter_cfg=acfg)
+        double = params_mod.build_report(backbone, 2, "adapterx2", adapter_cfg=acfg)
+        assert double.added_params_per_task == 2 * single.added_params_per_task
+        assert single.added_params_per_task // backbone.layers == 100_672
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.2f}s, budget 1s"
 

@@ -23,7 +23,6 @@ from spartan.backbone import (
 )
 from spartan.memory import SpartanConfig
 from spartan.numerics import MacCounter, ParameterError, ShapeError, make_rng
-from spartan.params import iter_tensor_shapes
 from spartan.training import cross_entropy_batch
 
 CFG = BackboneConfig(d=32, layers=2, heads=2, ffn_dim=48, vocab_hash_buckets=256, max_seq_len=16)
@@ -344,7 +343,7 @@ class TestTensorNames:
         expect = ([(n, False) for n in _FROZEN_NAMES]
                   + [(n, True) for n in _HEAD_NAMES + _PLUGIN_NAMES[kind]])
         assert [(n, t) for n, _, t in iter_named_tensors(model)] == expect
-        shapes = iter_tensor_shapes(self.TINY, 2, kind, spartan_cfg=self.TINY_SPARTAN)
+        shapes = reference.iter_tensor_shapes(self.TINY, 2, kind, spartan_cfg=self.TINY_SPARTAN)
         assert [(n, t) for n, _, t in shapes] == expect
 
 

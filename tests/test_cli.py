@@ -135,8 +135,9 @@ class TestCheckpoint:
         save_checkpoint(path, model, seed=5)
         with open(path, "rb") as fh:
             header_line = fh.readline()
-        counts = params_mod.count_from_shapes(model.cfg, 3, kind, spartan_cfg=RANDOM_MODEL_MEMORY)
-        assert path.stat().st_size == len(header_line) + 8 * counts["total"]
+        report = params_mod.build_report(model.cfg, 3, kind, spartan_cfg=RANDOM_MODEL_MEMORY)
+        scalars = report.backbone_params + report.added_params_per_task + report.head_params
+        assert path.stat().st_size == len(header_line) + 8 * scalars
 
     def test_save_and_load_peak_memory_stays_near_the_model_size(self, tmp_path):
         # the shape of perfbench's finetune workload: 1,120,260 float64 scalars
@@ -548,6 +549,31 @@ class TestParamsCommand:
         assert main(["params", "--config", str(config)]) == 0
         out = capsys.readouterr().out
         assert "plugin kind" in out
+
+    def test_byte_figures_match_a_trained_checkpoint(self, workdir):
+        tmp, _, data = workdir
+        config = tmp / "labelled.json"  # params assumes 2 labels when the config gives none
+        config.write_text(json.dumps({**TINY_CONFIG, "num_labels": 4}))
+        jpath, ckpt = tmp / "report.json", tmp / "model.ckpt"
+        assert main(["params", "--config", str(config), "--tasks", "3", "--out", str(jpath)]) == 0
+        report = json.loads(jpath.read_text())
+        assert main(["train", "--config", str(config), "--data", str(data),
+                     "--out", str(ckpt), "--seed", "7"]) == 0
+        with open(ckpt, "rb") as fh:
+            line = fh.readline()
+        header = json.loads(line)
+        assert ckpt.stat().st_size - len(line) == report["body_bytes"]
+        assert report["task_file_bytes"] == report["header_bytes"] + report["body_bytes"]
+        assert report["all_task_files_bytes"] == 3 * report["task_file_bytes"]
+        # the train header is the report's config echo plus cmd_train's run metadata
+        assert line == json.dumps(header).encode("utf-8") + b"\n"
+        run_metadata = {"train", "plugin_kind", "num_train_examples", "data_path"}
+        assert set(header["config"]) == {"backbone", "plugin", "num_labels"} | run_metadata
+        echo = {**header, "seed": 0, "config": {k: v for k, v in header["config"].items()
+                                                  if k not in run_metadata}}
+        assert header["seed"] == 7 and header["label_manifest"] == {}
+        assert len(json.dumps(echo).encode("utf-8") + b"\n") == report["header_bytes"]
+        assert len(line) > report["header_bytes"]
 
 
 class TestUsage:

@@ -1,15 +1,16 @@
+import os
+
 import numpy as np
 import pytest
 
 import reference
 from spartan.adapter import AdapterConfig
 from spartan.backbone import BackboneConfig, Model, init_backbone, make_plugin
+from spartan.checkpoint import save_checkpoint
 from spartan.memory import SpartanConfig
 from spartan.numerics import ParameterError, make_rng
 from spartan.params import (
     build_report,
-    count_from_shapes,
-    iter_tensor_shapes,
     render_table,
     report_to_dict,
     spartan_formula_added,
@@ -21,15 +22,14 @@ PAPER_BACKBONE = BackboneConfig(d=768, layers=12, heads=12, ffn_dim=3072,
 PAPER_SPARTAN = SpartanConfig(d=768, num_parents=16, children_per_parent=3, top_k=8)
 
 DESK = BackboneConfig(d=32, layers=3, heads=2, ffn_dim=48, vocab_hash_buckets=128, max_seq_len=8)
+DESK_SPARTAN = SpartanConfig(d=32, num_parents=4, children_per_parent=2, top_k=2)
+DESK_ADAPTER = AdapterConfig(d=32, bottleneck=8)
 
 
 def build_model(kind, seed=0, cfg=DESK, num_labels=3):
     rng = make_rng(seed)
     params = init_backbone(cfg, num_labels, rng)
-    plugin = make_plugin(kind, cfg, rng,
-                         spartan_cfg=SpartanConfig(d=cfg.d, num_parents=4,
-                                                   children_per_parent=2, top_k=2),
-                         adapter_cfg=AdapterConfig(d=cfg.d, bottleneck=8))
+    plugin = make_plugin(kind, cfg, rng, spartan_cfg=DESK_SPARTAN, adapter_cfg=DESK_ADAPTER)
     return Model(cfg, params, plugin)
 
 
@@ -53,34 +53,31 @@ class TestClosedForm:
 
 class TestEnumeration:
     def test_spartan_per_task_additions_at_paper_shapes(self):
-        counts = count_from_shapes(PAPER_BACKBONE, 2, "spartan", spartan_cfg=PAPER_SPARTAN)
-        assert counts["plugin"] == (16 + 2 * 16 * 3) * 768 * 12 == 1_032_192
+        report = build_report(PAPER_BACKBONE, 2, "spartan", spartan_cfg=PAPER_SPARTAN)
+        assert report.added_params_per_task == (16 + 2 * 16 * 3) * 768 * 12 == 1_032_192
         # the closed form's per-task value differs: factor 2 on the parent term
         assert spartan_formula_added(1, 16, 3, 768, 12) == 1_179_648
 
     def test_adapter_per_task_additions_at_paper_shapes(self):
-        counts = count_from_shapes(PAPER_BACKBONE, 2, "adapter",
-                                   adapter_cfg=AdapterConfig(d=768, bottleneck=64))
-        assert counts["plugin"] == 12 * 100_672 == 1_208_064
+        report = build_report(PAPER_BACKBONE, 2, "adapter",
+                              adapter_cfg=AdapterConfig(d=768, bottleneck=64))
+        assert report.added_params_per_task == 12 * 100_672 == 1_208_064
 
     def test_no_plugin_adds_head_only(self):
-        counts = count_from_shapes(DESK, 5, "none")
-        assert counts["plugin"] == 0
-        assert counts["head"] == 5 * 32 + 5
-        assert counts["trainable"] == counts["head"]
+        report = build_report(DESK, 5, "none")
+        assert report.added_params_per_task == 0
+        assert report.head_params == 5 * 32 + 5
+        assert report.total_enumerated == report.backbone_params
 
     def test_matches_real_model_walk(self):
         for kind in ("none", "spartan", "adapter", "adapterx2"):
             model = build_model(kind)
             real = reference.enumerate_params(model)
-            analytic = count_from_shapes(
-                DESK, 3, kind,
-                spartan_cfg=SpartanConfig(d=32, num_parents=4, children_per_parent=2, top_k=2),
-                adapter_cfg=AdapterConfig(d=32, bottleneck=8))
-            assert real["frozen"] == analytic["frozen"]
-            assert real["plugin"] == analytic["plugin"]
-            assert real["head"] == analytic["head"]
-            assert real["total"] == analytic["total"]
+            report = build_report(DESK, 3, kind, spartan_cfg=DESK_SPARTAN, adapter_cfg=DESK_ADAPTER)
+            assert real["frozen"] == report.backbone_params
+            assert real["plugin"] == report.added_params_per_task
+            assert real["head"] == report.head_params
+            assert real["total"] == report.body_bytes // 8
 
     def test_second_traversal_order_agrees(self):
         from spartan.backbone import iter_named_tensors
@@ -99,11 +96,9 @@ class TestEnumeration:
             assert counts["plugin"] + counts["head"] == counts["trainable"]
 
     def test_two_stacked_adapters_double_single_exactly(self):
-        single = count_from_shapes(DESK, 3, "adapter",
-                                   adapter_cfg=AdapterConfig(d=32, bottleneck=8))
-        double = count_from_shapes(DESK, 3, "adapterx2",
-                                   adapter_cfg=AdapterConfig(d=32, bottleneck=8))
-        assert double["plugin"] == 2 * single["plugin"]
+        single = build_report(DESK, 3, "adapter", adapter_cfg=DESK_ADAPTER)
+        double = build_report(DESK, 3, "adapterx2", adapter_cfg=DESK_ADAPTER)
+        assert double.added_params_per_task == 2 * single.added_params_per_task
 
 
 class TestReport:
@@ -112,9 +107,21 @@ class TestReport:
         assert report.total_enumerated == report.backbone_params + 9 * report.added_params_per_task
         assert report.added_params_per_task == 1_032_192
         assert report.formula_added_per_task == 1_179_648
-        assert report.storage_bytes == 4 * report.total_enumerated
+        assert report.all_task_files_bytes == 9 * report.task_file_bytes
         assert report.formula_gap_fraction == pytest.approx(
             (1_179_648 - 1_032_192) / 1_032_192)
+
+    def test_table_rows_are_in_order(self):
+        report = build_report(PAPER_BACKBONE, 2, "spartan", tasks=9, spartan_cfg=PAPER_SPARTAN)
+        labels = [line.split("  ")[0] for line in render_table(report).splitlines()]
+        assert labels == [
+            "plugin kind", "backbone (frozen)", "added per task (plugin, enumerated)",
+            "added per task (closed form)", "task head (reported separately)", "tasks",
+            "total, enumerated", "total, closed form", "checkpoint body", "checkpoint header",
+            "one task file", "9 task file(s)", "closed form vs enumeration"]
+        adapter = build_report(DESK, 3, "adapter", tasks=2, adapter_cfg=DESK_ADAPTER)
+        labels = [line.split("  ")[0] for line in render_table(adapter).splitlines()]
+        assert "closed form vs enumeration" not in labels and labels[-1] == "2 task file(s)"
 
     def test_table_shows_both_counts_and_flags_gap(self):
         report = build_report(PAPER_BACKBONE, 2, "spartan", tasks=9, spartan_cfg=PAPER_SPARTAN)
@@ -141,6 +148,31 @@ class TestReport:
         model = build_model("adapterx2")
         from spartan.backbone import iter_named_tensors
         names_model = [n for n, _, _ in iter_named_tensors(model)]
-        names_analytic = [n for n, _, _ in iter_tensor_shapes(
+        names_analytic = [n for n, _, _ in reference.iter_tensor_shapes(
             DESK, 3, "adapterx2", adapter_cfg=AdapterConfig(d=32, bottleneck=8))]
         assert names_model == names_analytic
+
+
+class TestStorage:
+    """The report's bytes are those of the files save_checkpoint writes."""
+
+    @pytest.mark.parametrize("kind", ["none", "spartan", "adapter", "adapterx2"])
+    def test_report_bytes_equal_the_checkpoint_file(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.ckpt"
+        save_checkpoint(path, build_model(kind), seed=0)
+        with open(path, "rb") as fh:
+            first_line = fh.readline()
+        size = os.path.getsize(path)
+        report = build_report(DESK, 3, kind, tasks=3,
+                              spartan_cfg=DESK_SPARTAN, adapter_cfg=DESK_ADAPTER)
+        assert report.header_bytes == len(first_line)
+        assert report.body_bytes == size - len(first_line)
+        assert report.task_file_bytes == size
+        assert report.all_task_files_bytes == 3 * size
+
+    def test_json_carries_the_byte_figures(self):
+        payload = report_to_dict(build_report(DESK, 3, "adapter", tasks=4, adapter_cfg=DESK_ADAPTER))
+        for key in ("body_bytes", "header_bytes", "task_file_bytes", "all_task_files_bytes"):
+            assert isinstance(payload[key], int) and payload[key] > 0
+        assert payload["all_task_files_bytes"] == 4 * payload["task_file_bytes"]
+        assert "storage_bytes" not in payload and "manifest_overhead_bytes" not in payload
