@@ -38,7 +38,7 @@ so identical text always yields identical ids with no vocabulary files.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .numerics import (
     MacCounter,
     ParameterError,
     ShapeError,
+    UsageError,
     check_counts,
     gelu_cached,
     gelu_grad_cached,
@@ -171,6 +172,34 @@ def plugin_config(kind: str, d: int, *given):
     if pcfg.d != d:
         raise ParameterError(f"plugin d={pcfg.d} does not match backbone d={d}")
     return pcfg
+
+
+def build_config(cls, given, section: str, **fixed):
+    """cls(**fixed, **given), rejecting any given field the dataclass does not
+    declare; a None cls declares no fields and builds None."""
+    unknown = set(given) - ({f.name for f in fields(cls)} - set(fixed) if cls else set())
+    if unknown:
+        raise UsageError(f"unknown {section} fields: {sorted(unknown)}")
+    try:
+        return cls(**fixed, **given) if cls else None
+    except TypeError as exc:  # a field of the wrong JSON type
+        raise UsageError(f"{section}: {exc}") from exc
+
+
+def decode_config(conf: dict) -> tuple:
+    """(BackboneConfig, kind, plugin config or None) of a run config or a
+    checkpoint's config echo: the one reader of `backbone` and `plugin`. A
+    stray or wrong-typed field, an unknown kind or a plugin d other than the
+    backbone's raises UsageError."""
+    backbone = build_config(BackboneConfig, conf["backbone"], "backbone")
+    given = dict(conf["plugin"])
+    kind = given.pop("kind")
+    if not isinstance(kind, str) or kind not in PLUGINS:
+        raise UsageError(f"unknown plugin kind {kind!r}; expected one of {tuple(PLUGINS)}")
+    d = given.pop("d", backbone.d)
+    if d != backbone.d:
+        raise UsageError(f"plugin d={d} does not match backbone d={backbone.d}")
+    return backbone, kind, build_config(PLUGINS[kind].config, given, f"{kind} plugin", d=d)
 
 
 @dataclass

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import training
 from .backbone import (
+    PLUGINS,
     BackboneConfig,
     Model,
     PluginSpec,
@@ -46,7 +47,7 @@ from .backbone import (
 )
 from .numerics import MacCounter, ParameterError, check_counts, make_rng
 
-ARCHITECTURES = ("spartan", "adapter", "adapterx2", "none")
+ARCHITECTURES = tuple(PLUGINS)
 
 
 @dataclass
@@ -71,9 +72,7 @@ class BenchConfig:
     vocab_hash_buckets: int = 2048
 
     def __post_init__(self):
-        if self.architecture not in ARCHITECTURES:
-            raise ParameterError(
-                f"architecture {self.architecture!r} not one of {ARCHITECTURES}")
+        plugin_kind(self.architecture)
         check_counts(vars(self), batch_size=1, seq_len=1, warmup_batches=0, seed=0)
         if not (math.isfinite(self.measure_seconds) and self.measure_seconds >= 1):
             raise ParameterError(

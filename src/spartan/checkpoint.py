@@ -8,13 +8,14 @@ The format fixes the dtype and the schema says which tensors train, so the
 file stores neither. `checkpoint_bytes` counts a file through the same header
 encoder `save_checkpoint` writes through; `spartan params` reports its figures.
 
-Loading builds a blank model from the config echo, checks the header's tensor
-list against that model's schema walk, and reads each tensor's bytes straight
-into its array; a file that disagrees with the schema, a short body or bytes
-after the last tensor is a DataError, never a half-loaded model. Non-finite
-values are refused both ways: saving raises NumericalError before the file is
-opened, and loading treats a NaN/Infinity token in the header or a non-finite
-value in the body as a DataError.
+Loading decodes the config echo as a run config is decoded (`decode_config`),
+builds a blank model, checks the header's tensor list against its schema walk
+and reads each tensor's bytes straight into its array; a refused echo, a file
+that disagrees with the schema, a short body or bytes after the last tensor
+is a DataError, never a half-loaded model. Non-finite values are refused both
+ways: saving raises NumericalError before the file is opened, and loading
+treats a NaN/Infinity token in the header or a non-finite value in the body
+as a DataError.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig, Model, empty_model, iter_named_tensors, plugin_kind
+from .backbone import Model, decode_config, empty_model, iter_named_tensors
 from .data import DataError
 from .training import NumericalError
 
@@ -79,16 +80,6 @@ def _reject_constant(token: str):
     raise ValueError(f"non-finite token {token}")
 
 
-def _blank_model(config: dict) -> Model:
-    """Zero-filled float64 model of a checkpoint's config echo; a malformed
-    echo raises KeyError, TypeError or ValueError (ParameterError is one)."""
-    plugin = dict(config["plugin"])
-    kind = plugin.pop("kind")
-    config_type = plugin_kind(kind).config
-    plugin_cfg = config_type(**plugin) if config_type else None
-    return empty_model(BackboneConfig(**config["backbone"]), config["num_labels"], kind, plugin_cfg)
-
-
 def load_checkpoint(path):
     """Rebuilds the model; returns (model, metadata dict with seed/config/labels).
 
@@ -108,7 +99,8 @@ def load_checkpoint(path):
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(f"unsupported checkpoint format version {header.get('format_version')}")
         try:
-            model = _blank_model(header["config"])
+            backbone_cfg, kind, plugin_cfg = decode_config(header["config"])
+            model = empty_model(backbone_cfg, header["config"]["num_labels"], kind, plugin_cfg)
             listed = header["tensors"]
             meta = {key: header[key] for key in ("seed", "label_manifest", "config")}
         except KeyError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -18,20 +18,16 @@ import numpy as np
 from . import analysis as analysis_mod
 from . import bench as bench_mod
 from . import params as params_mod
-from .backbone import PLUGINS, BackboneConfig, Model, init_backbone, make_plugin
+from .backbone import BackboneConfig, Model, build_config, decode_config, init_backbone, make_plugin
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DataError, few_shot_sample, load_jsonl, load_label_manifest
-from .numerics import ParameterError, ShapeError, check_counts, make_rng
+from .numerics import ParameterError, ShapeError, UsageError, check_counts, make_rng
 from .training import NumericalError, TrainConfig, evaluate, train, write_metrics_csv
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_NUMERICAL = 3
-
-
-class UsageError(Exception):
-    pass
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,31 +72,7 @@ def load_run_config(path: str | None) -> dict:
     return conf
 
 
-def _build(cls, given, section: str, **fixed):
-    """cls(**fixed, **given), rejecting any given field the dataclass does not
-    declare; a None cls declares no fields and builds None."""
-    unknown = set(given) - ({f.name for f in fields(cls)} - set(fixed) if cls else set())
-    if unknown:
-        raise UsageError(f"unknown {section} fields: {sorted(unknown)}")
-    try:
-        return cls(**fixed, **given) if cls else None
-    except TypeError as exc:  # a field of the wrong JSON type
-        raise UsageError(f"{section}: {exc}") from exc
-
-
-def _plugin_from_config(conf: dict, backbone_cfg: BackboneConfig):
-    """(kind, plugin config or None); rejects a d that disagrees with the backbone."""
-    pconf = dict(conf["plugin"])
-    kind = pconf.pop("kind", "spartan")
-    if not isinstance(kind, str) or kind not in PLUGINS:
-        raise UsageError(f"unknown plugin kind {kind!r}; expected one of {tuple(PLUGINS)}")
-    d = pconf.pop("d", backbone_cfg.d)
-    if d != backbone_cfg.d:
-        raise UsageError(f"plugin d={d} does not match backbone d={backbone_cfg.d}")
-    return kind, _build(PLUGINS[kind].config, pconf, f"{kind} plugin", d=d)
-
-
-def _num_labels(conf: dict, default: int) -> int:
+def _num_labels(conf: dict, default: int | None) -> int | None:
     """The config's num_labels, or default when it is null."""
     if conf["num_labels"] is None:
         return default
@@ -129,8 +101,7 @@ def cmd_train(args) -> int:
     num_labels = _num_labels(conf, max((ex.label for ex in examples), default=0) + 1)
     _check_labels(examples, num_labels, args.data)
 
-    backbone_cfg = _build(BackboneConfig, conf["backbone"], "backbone")
-    kind, plugin_cfg = _plugin_from_config(conf, backbone_cfg)
+    backbone_cfg, kind, plugin_cfg = decode_config(conf)
 
     rng = make_rng(seed)
     params = init_backbone(backbone_cfg, num_labels, rng)
@@ -140,7 +111,7 @@ def cmd_train(args) -> int:
     train_conf["seed"] = seed
     if args.lr is not None:
         train_conf["learning_rate"] = args.lr
-    tcfg = _build(TrainConfig, train_conf, "train")
+    tcfg = build_config(TrainConfig, train_conf, "train")
 
     train_set = examples
     if args.few_shot is not None:
@@ -234,9 +205,8 @@ def cmd_analyze(args) -> int:
 def cmd_params(args) -> int:
     if args.config:
         conf = load_run_config(args.config)
-        backbone_cfg = _build(BackboneConfig, conf["backbone"], "backbone")
-        kind, plugin_cfg = _plugin_from_config(conf, backbone_cfg)
-        num_labels = _num_labels(conf, 2)
+        backbone_cfg, kind, plugin_cfg = decode_config(conf)
+        num_labels = _num_labels(conf, None)
     else:
         # full-size comparison shapes, matching the benchmark defaults
         bdefault = bench_mod.BenchConfig()
@@ -244,7 +214,7 @@ def cmd_params(args) -> int:
                                       ffn_dim=bdefault.ffn_dim,
                                       vocab_hash_buckets=bdefault.vocab_hash_buckets,
                                       max_seq_len=128)
-        kind, plugin_cfg, num_labels = "spartan", None, 2
+        kind, plugin_cfg, num_labels = "spartan", None, None
     report = params_mod.build_report(backbone_cfg, num_labels, kind, args.tasks, plugin_cfg)
     print(params_mod.render_table(report))
     if args.out:

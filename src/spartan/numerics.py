@@ -59,6 +59,10 @@ class ParameterError(ValueError):
     """Raised when a scalar argument (count, index, rate) is out of range."""
 
 
+class UsageError(ValueError):
+    """Raised when a flag or a config field is unknown, mistyped or inconsistent."""
+
+
 def check_shapes(obj, schema) -> None:
     """Raise ShapeError unless each (name, shape, init) of the schema matches obj.name's shape."""
     for name, shape, _ in schema:

@@ -30,6 +30,8 @@ class ParamReport:
     backbone_params: int
     added_params_per_task: int      # plugin tensors only
     head_params: int                # reported separately, not scaled by tasks
+    num_labels: int                 # the head's rows
+    num_labels_assumed: bool        # the config gave none, so 2 were counted
     tasks: int
     total_formula: int | None       # closed form; sparse-memory plugin only
     formula_added_per_task: int | None
@@ -53,18 +55,19 @@ def spartan_formula_added(t: int, p: int, c: int, d: int, l: int) -> int:
     return spartan_formula_total(0, t, p, c, d, l)
 
 
-def build_report(cfg: BackboneConfig, num_labels: int, plugin_kind: str, tasks: int = 1,
+def build_report(cfg: BackboneConfig, num_labels: int | None, plugin_kind: str, tasks: int = 1,
                  spartan_cfg=None, adapter_cfg=None) -> ParamReport:
     """Multi-task accounting: one frozen backbone serves `tasks` plugin copies.
 
     The per-task additions scale the plugin tensors only; the task head is
     reported on its own line so the plugin count stays comparable across
-    architectures. The byte figures are those of the checkpoint files.
+    architectures. The byte figures are those of the checkpoint files. A
+    num_labels of None is counted as 2 labels, and the report says so.
     """
     if tasks < 1:
         raise ParameterError(f"tasks must be >= 1, got {tasks}")
     pcfg = plugin_config(plugin_kind, cfg.d, spartan_cfg, adapter_cfg)
-    model = empty_model(cfg, num_labels, plugin_kind, pcfg,
+    model = empty_model(cfg, 2 if num_labels is None else num_labels, plugin_kind, pcfg,
                         alloc=lambda shape: np.broadcast_to(np.zeros(()), shape))
     backbone = added = head = 0
     for name, arr, trainable in iter_named_tensors(model):
@@ -88,6 +91,8 @@ def build_report(cfg: BackboneConfig, num_labels: int, plugin_kind: str, tasks: 
         backbone_params=backbone,
         added_params_per_task=added,
         head_params=head,
+        num_labels=model.params.num_labels,
+        num_labels_assumed=num_labels is None,
         tasks=tasks,
         total_formula=total_formula,
         formula_added_per_task=formula_added,
@@ -113,7 +118,8 @@ def render_table(report: ParamReport) -> str:
         ("backbone (frozen)", f"{report.backbone_params:,}"),
         ("added per task (plugin, enumerated)", f"{report.added_params_per_task:,}"),
         closed and ("added per task (closed form)", f"{report.formula_added_per_task:,}"),
-        ("task head (reported separately)", f"{report.head_params:,}"),
+        ("task head (reported separately)", f"{report.head_params:,} ({report.num_labels} labels"
+         f"{', assumed: the config sets none' if report.num_labels_assumed else ''})"),
         ("tasks", str(report.tasks)),
         ("total, enumerated", f"{report.total_enumerated:,}"),
         closed and ("total, closed form", f"{report.total_formula:,}"),

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ import pytest
 from spartan import bench as bench_mod
 from spartan import cli
 from spartan import params as params_mod
-from spartan.backbone import (BackboneConfig, Model, init_backbone, iter_named_tensors,
-                              make_plugin, tensor_slots)
+from spartan.backbone import (PLUGINS, BackboneConfig, Model, decode_config, init_backbone,
+                              iter_named_tensors, make_plugin, tensor_slots)
 from spartan.checkpoint import load_checkpoint, save_checkpoint
 from spartan.cli import build_parser, main
 from spartan.data import Example, SyntheticTopicTask, generate_topic_dataset, write_jsonl
@@ -576,6 +577,23 @@ class TestParamsCommand:
         assert len(line) > report["header_bytes"]
 
 
+    @pytest.mark.parametrize("num_labels, row", [
+        (None, "(2 labels, assumed: the config sets none)"), (4, "(4 labels)")])
+    def test_label_count_is_stated_and_marked_assumed_when_null(self, workdir, capsys,
+                                                                 num_labels, row):
+        tmp, _, _ = workdir
+        config, jpath = tmp / "labels.json", tmp / "report.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "num_labels": num_labels}))
+        assert main(["params", "--config", str(config), "--out", str(jpath)]) == 0
+        head = next(line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("task head"))
+        assert head.endswith(row), head
+        report = json.loads(jpath.read_text())
+        assert report["num_labels"] == (num_labels or 2)
+        assert report["num_labels_assumed"] == (num_labels is None)
+        assert report["head_params"] == (num_labels or 2) * (32 + 1)
+
+
 class TestUsage:
     def test_no_command_exits_1(self, capsys):
         assert main([]) == 1
@@ -729,6 +747,49 @@ class TestCheckpointLoaderErrors:
         assert main(["eval", "--model", str(path), "--data", str(zeros)]) == 2
         _assert_one_line_error(capsys, "data error", "num_labels must be")
 
+    @staticmethod
+    def _in_range_data(data):
+        """Data whose labels fit random_model's 3-label head, so that only
+        the checkpoint can be refused."""
+        path = data.with_name("three_labels.jsonl")
+        write_jsonl(path, [Example(f"text {i}", i % 3) for i in range(6)])
+        return path
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_plugin_d_other_than_the_backbones_exits_2(self, saved, capsys, command):
+        # a d=8 memory on a d=16 backbone: the header's tensor list matches the
+        # echo, so only the decoder's d check can refuse the file
+        path, data = saved
+        data = self._in_range_data(data)
+        model = random_model(0)
+        narrow = BackboneConfig(d=8, layers=2, heads=2, ffn_dim=24, vocab_hash_buckets=64,
+                                max_seq_len=8)
+        model.plugin = make_plugin("spartan", narrow, make_rng(1), spartan_cfg=SpartanConfig(
+            d=8, num_parents=4, children_per_parent=2, top_k=2))
+        save_checkpoint(path, model, seed=0)
+        header, _ = read_checkpoint_file(path)
+        assert (header["config"]["backbone"]["d"], header["config"]["plugin"]["d"]) == (16, 8)
+        assert main([command, "--model", str(path), "--data", str(data),
+                     "--out", str(path.with_name("out"))]) == 2
+        _assert_one_line_error(capsys, "data error", "plugin d=8", "backbone d=16")
+
+    def test_none_plugin_echo_with_a_stray_field_exits_2(self, saved, capsys):
+        path, data = saved
+        save_checkpoint(path, random_model(0, "none"), seed=0)
+        self._rewrite(path, lambda h, _: h["config"]["plugin"].update(top_k=2))
+        data = self._in_range_data(data)
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "unknown none plugin fields", "top_k")
+
+    @pytest.mark.parametrize("kind", tuple(PLUGINS))
+    def test_config_echo_decodes_to_the_configs_the_model_was_built_with(self, tmp_path, kind):
+        model = random_model(2, kind)
+        save_checkpoint(tmp_path / "m.ckpt", model, seed=2)
+        header, _ = read_checkpoint_file(tmp_path / "m.ckpt")
+        stack = model.plugin.layers[0]
+        assert decode_config(header["config"]) == (model.cfg, kind,
+                                                   stack[0].cfg if stack else None)
+
 
 
 class TestConfigValidation:
@@ -748,6 +809,13 @@ class TestConfigValidation:
         path = self._config(tmp, **{section: value})
         assert main(["params", "--config", str(path)]) == 1
         _assert_one_line_error(capsys, "usage error", word)
+
+    def test_readme_schema_block_is_accepted_verbatim(self, tmp_path, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Config file schema", 1)[1].split("```json\n", 1)[1]
+        config = tmp_path / "readme.json"
+        config.write_text(block.split("```", 1)[0])
+        assert main(["params", "--config", str(config)]) == 0, capsys.readouterr().err
 
     def test_unknown_train_field_is_a_usage_error(self, workdir, capsys):
         tmp, _, data = workdir
