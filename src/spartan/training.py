@@ -9,6 +9,7 @@ sequences; grouping only affects speed, not results.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -121,6 +122,12 @@ def adam_step(state: OptimizerState, model: Model, grads: dict[str, np.ndarray],
             raise NumericalError(f"non-finite Adam moment or update for {name} at step {t - 1}")
 
 
+# train and evaluate end by returning the heap's free pages to the OS: the share
+# glibc trims by itself varies by several MB from run to run. pythonapi holds
+# the process's own symbols, glibc's among them; elsewhere this is a no-op.
+_malloc_trim = getattr(ctypes.pythonapi, "malloc_trim", lambda pad: 0)
+
+
 def _group_by_length(token_lists: list[np.ndarray]):
     groups: dict[int, list[int]] = {}
     for i, ids in enumerate(token_lists):
@@ -198,6 +205,7 @@ def train(model: Model, dataset: list[Example], cfg: TrainConfig) -> TrainResult
                 raise NumericalError(f"non-finite gradient for {name} at step {step}")
         adam_step(opt, model, grads, cfg)
         result.history.append({"step": step, "loss": float(loss)})
+    _malloc_trim(0)
     return result
 
 
@@ -211,6 +219,7 @@ def evaluate(model: Model, dataset: list[Example]) -> float:
     for idx, ids in eval_batches(token_lists):
         logits, _ = classify_forward(model, ids, collect=False)
         preds[idx] = np.argmax(logits, axis=1)
+    _malloc_trim(0)
     return float(np.mean(preds == labels))
 
 
