@@ -27,9 +27,9 @@ depth; a layer's plugin entry is a tuple of that many instances, each with
 `forward(x, counter, collect)`, `backward(trace, d_out)` and a `shapes(cfg)`
 schema. Every tensor group declares its (field, shape, init) entries once,
 init being a Gaussian standard deviation or a "zeros"/"ones" fill. Fresh and
-blank models are built by one schema walk that only changes how each group is
-filled; `tensor_slots` walks a built model through the same declarations, and
-checkpoint names, parameter counts and dtype casts follow it.
+shape-only models come from one schema walk that only changes how each group
+is filled; `tensor_slots` walks a built model through the same declarations,
+and checkpoint names, parameter counts and dtype casts follow it.
 
 Tokenization is hash-bucketed: lowercased word tokens map to ids via FNV-1a,
 so identical text always yields identical ids with no vocabulary files.
@@ -164,14 +164,11 @@ def plugin_kind(kind: str) -> PluginKind:
 def plugin_config(kind: str, d: int, *given):
     """The config a `kind` plugin runs with at width d: the first of `given`
     that has the kind's config type, else that type's defaults; None for a
-    kind without parameters."""
+    kind without parameters. `decode_config` owns the rule that d matches."""
     config = plugin_kind(kind).config
     if config is None:
         return None
-    pcfg = next((c for c in given if isinstance(c, config)), None) or config(d=d)
-    if pcfg.d != d:
-        raise ParameterError(f"plugin d={pcfg.d} does not match backbone d={d}")
-    return pcfg
+    return next((c for c in given if isinstance(c, config)), None) or config(d=d)
 
 
 def build_config(cls, given, section: str, **fixed):
@@ -276,12 +273,11 @@ def make_plugin(kind: str, cfg: BackboneConfig, rng: np.random.Generator,
     return _plugin_spec(kind, cfg.layers, pcfg, lambda schema: init_tensors(schema, rng))
 
 
-def empty_model(cfg: BackboneConfig, num_labels: int, kind: str, plugin_cfg,
-                alloc=np.zeros) -> Model:
-    """A model whose every tensor is alloc(shape) from the schema: zeros to
-    load a checkpoint into, or zero-stride views that only carry shapes."""
+def empty_model(cfg: BackboneConfig, num_labels: int, kind: str, plugin_cfg) -> Model:
+    """A shape-only model: each tensor is a read-only zero-stride view, so no count
+    costs tensor memory. Parameter counts and the loader's file checks walk it."""
     def fill(schema):
-        return {name: alloc(shape) for name, shape, _ in schema}
+        return {name: np.broadcast_to(np.zeros(()), shape) for name, shape, _ in schema}
 
     return Model(cfg, _backbone_params(cfg, num_labels, fill),
                  _plugin_spec(kind, cfg.layers, plugin_cfg, fill))

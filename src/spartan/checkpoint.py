@@ -9,25 +9,25 @@ file stores neither. `checkpoint_bytes` counts a file through the same header
 encoder `save_checkpoint` writes through; `spartan params` reports its figures.
 
 Loading decodes the config echo as a run config is decoded (`decode_config`),
-builds a blank model, checks the header's tensor list against its schema walk
-and reads each tensor's bytes straight into its array; a refused echo, a file
-that disagrees with the schema, a short body or bytes after the last tensor
-is a DataError, never a half-loaded model. Non-finite values are refused both
-ways: saving raises NumericalError before the file is opened, and loading
-treats a NaN/Infinity token in the header or a non-finite value in the body
-as a DataError.
+builds its shape-only model (`empty_model`), checks the header's tensor list
+against that model's schema walk and the body's length against the bytes the
+schema needs, and only then reads each tensor into an array of its own. A
+refused echo, a tensor list that disagrees, a short body or bytes after the
+last tensor is a DataError; nothing is allocated before the header and the
+file size agree with the schema. Non-finite values are refused both ways:
+saving raises NumericalError before the file is opened, and loading treats a
+NaN/Infinity token in the header or a non-finite value in the body as a DataError.
 """
 
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .backbone import Model, decode_config, empty_model, iter_named_tensors
+from .backbone import LayerWeights, Model, decode_config, empty_model, iter_named_tensors, tensor_slots
 from .data import DataError
 from .training import NumericalError
 
@@ -83,8 +83,8 @@ def _reject_constant(token: str):
 def load_checkpoint(path):
     """Rebuilds the model; returns (model, metadata dict with seed/config/labels).
 
-    Any file that does not match the format, or whose tensor list disagrees
-    with the schema of its config echo, raises DataError.
+    Any file that does not match the format or its config echo's schema
+    raises DataError, before any tensor is allocated.
     """
     path = Path(path)
     if not path.exists():
@@ -100,27 +100,33 @@ def load_checkpoint(path):
             raise DataError(f"unsupported checkpoint format version {header.get('format_version')}")
         try:
             backbone_cfg, kind, plugin_cfg = decode_config(header["config"])
+            got = header["tensors"] if isinstance(header["tensors"], list) else []
+            layers = backbone_cfg.layers  # the one count that multiplies the shape model's views
+            if len(got) < len(LayerWeights.shapes(backbone_cfg)) * layers:
+                raise ValueError(f"{layers} layers need more tensors than the header's {len(got)}")
             model = empty_model(backbone_cfg, header["config"]["num_labels"], kind, plugin_cfg)
-            listed = header["tensors"]
             meta = {key: header[key] for key in ("seed", "label_manifest", "config")}
         except KeyError as exc:
             raise DataError(f"checkpoint {path}: missing key {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise DataError(f"checkpoint {path}: bad config ({exc})") from exc
         expected = _tensor_list(model)
-        if listed != expected:
-            got = listed if isinstance(listed, list) else []
+        if got != expected:
             at = next((f"{name} {shape}" for i, (name, shape) in enumerate(expected)
                        if got[i:i + 1] != [[name, shape]]), "its end")
             raise DataError(f"checkpoint {path}: header tensors disagree with the schema at {at}")
-
+        body, end = path.stat().st_size - fh.tell(), 0
         for name, arr, _ in iter_named_tensors(model):
-            if fh.readinto(arr) != arr.nbytes:
+            end += BODY_DTYPE.itemsize * arr.size
+            if end > body:
                 raise DataError(f"checkpoint {path}: body ends inside tensor {name}")
-            if sys.byteorder != "little":
-                arr.byteswap(inplace=True)
+        if end < body:
+            raise DataError(f"checkpoint {path}: bytes after the last tensor")
+        for name, owner, field, _ in tensor_slots(model):
+            arr = np.empty(getattr(owner, field).shape, BODY_DTYPE)
+            fh.readinto(arr)
+            arr = arr.astype(np.float64, copy=False)
             if not np.isfinite(arr).all():
                 raise DataError(f"tensor {name}: non-finite values")
-        if fh.read(1):
-            raise DataError(f"checkpoint {path}: bytes after the last tensor")
+            setattr(owner, field, arr)
     return model, meta

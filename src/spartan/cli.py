@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ParameterError, ShapeError) as exc:
+    except (ParameterError, ShapeError, MemoryError) as exc:  # MemoryError: a model too large
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DataError, FileNotFoundError) as exc:

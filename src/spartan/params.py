@@ -6,17 +6,15 @@ walks every tensor. The closed form carries a factor 2 on the parent term even
 though parents have no key/value split, so it exceeds the enumerated count;
 the report surfaces the gap rather than silently reconciling it.
 
-Shapes come from the tensor schema in `backbone`: a model of the requested
-configuration is built from zero-stride views, which cost no memory, and
-walked exactly as `iter_named_tensors` walks a real one. Storage is what
-`checkpoint` counts for that model's file, which holds the frozen backbone too.
+Shapes come from the tensor schema in `backbone`: `empty_model` builds the
+configuration's shape-only model, the one the checkpoint loader checks files
+against, and it is walked exactly as `iter_named_tensors` walks a real one.
+Storage is what `checkpoint` counts for that model's file, backbone included.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from . import memory as memory_mod
 from .backbone import BackboneConfig, empty_model, iter_named_tensors, plugin_config
@@ -67,8 +65,7 @@ def build_report(cfg: BackboneConfig, num_labels: int | None, plugin_kind: str, 
     if tasks < 1:
         raise ParameterError(f"tasks must be >= 1, got {tasks}")
     pcfg = plugin_config(plugin_kind, cfg.d, spartan_cfg, adapter_cfg)
-    model = empty_model(cfg, 2 if num_labels is None else num_labels, plugin_kind, pcfg,
-                        alloc=lambda shape: np.broadcast_to(np.zeros(()), shape))
+    model = empty_model(cfg, 2 if num_labels is None else num_labels, plugin_kind, pcfg)
     backbone = added = head = 0
     for name, arr, trainable in iter_named_tensors(model):
         if not trainable:

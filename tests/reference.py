@@ -275,8 +275,7 @@ def iter_tensor_shapes(cfg, num_labels, kind, spartan_cfg=None, adapter_cfg=None
     """(name, shape, trainable) of every tensor a model of this configuration
     would hold, walked on zero-stride views as params.build_report walks it."""
     pcfg = plugin_config(kind, cfg.d, spartan_cfg, adapter_cfg)
-    model = empty_model(cfg, num_labels, kind, pcfg,
-                        alloc=lambda shape: np.broadcast_to(np.zeros(()), shape))
+    model = empty_model(cfg, num_labels, kind, pcfg)
     for name, arr, trainable in iter_named_tensors(model):
         yield name, arr.shape, trainable
 

@@ -18,7 +18,8 @@ from spartan.backbone import (PLUGINS, BackboneConfig, Model, decode_config, ini
                               iter_named_tensors, make_plugin, tensor_slots)
 from spartan.checkpoint import load_checkpoint, save_checkpoint
 from spartan.cli import build_parser, main
-from spartan.data import Example, SyntheticTopicTask, generate_topic_dataset, write_jsonl
+from spartan.data import (DataError, Example, SyntheticTopicTask, generate_topic_dataset,
+                          write_jsonl)
 from spartan.memory import SpartanConfig
 from spartan.numerics import make_rng
 from spartan.training import NumericalError, TrainResult
@@ -238,6 +239,17 @@ class TestTrainCommand:
                      "--out", str(tmp / "x.json")])
         assert code == 1
         _assert_one_line_error(capsys, "config error", "pooling", "'mean'")
+        assert not (tmp / "x.json").exists()
+
+    def test_model_too_large_to_allocate_exits_1_with_one_line(self, workdir, capsys):
+        # a 10**12 x 32 float64 head is 256 TB, past any address space
+        tmp, _, data = workdir
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps({**TINY_CONFIG, "num_labels": 10**12}))
+        code = main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp / "x.json")])
+        assert code == 1
+        _assert_one_line_error(capsys, "config error", "Unable to allocate")
         assert not (tmp / "x.json").exists()
 
     def test_malformed_jsonl_exits_2_with_line(self, workdir, capsys):
@@ -780,6 +792,55 @@ class TestCheckpointLoaderErrors:
         data = self._in_range_data(data)
         assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
         _assert_one_line_error(capsys, "data error", "unknown none plugin fields", "top_k")
+
+    @staticmethod
+    def _relabel(header, num_labels, tensors=False):
+        """Set the echo's num_labels and, with tensors, the head's listed rows."""
+        header["config"]["num_labels"] = num_labels
+        for entry in header["tensors"] if tensors else ():
+            if entry[0] in ("head.weight", "head.bias"):
+                entry[1][0] = num_labels
+
+    def test_oversized_label_count_with_the_saved_tensor_list_exits_2(self, saved, capsys):
+        # a 10**12 x 16 float64 head would be 116 TiB; the list still says 3 rows
+        path, data = saved
+        self._rewrite(path, lambda h, _: self._relabel(h, 10**12))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "header tensors disagree",
+                               f"head.weight [{10**12}, 16]")
+
+    def test_oversized_label_count_with_a_matching_tensor_list_exits_2(self, saved, capsys):
+        # header and schema agree, so only the file size can refuse it
+        path, data = saved
+        self._rewrite(path, lambda h, _: self._relabel(h, 10**12, tensors=True))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", "body ends inside tensor head.weight")
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: TestCheckpointLoaderErrors._relabel(h, 10**6),
+        lambda h: TestCheckpointLoaderErrors._relabel(h, 10**6, tensors=True),
+        lambda h: h["config"]["backbone"].update(layers=10**4),
+    ], ids=["labels", "labels-listed", "layers"])
+    def test_refusing_an_oversized_header_allocates_no_tensor(self, saved, edit):
+        # a 10**6-row head is 128 MB; 10**4 layers of this model hold 182 MB, and
+        # even their zero-stride views would take tens of MB of array objects
+        path, _ = saved
+        self._rewrite(path, lambda h, _: edit(h))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DataError):
+                load_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_more_layers_than_the_header_lists_exits_2(self, saved, capsys):
+        # each layer lists 16 backbone tensors, so 42 entries cannot describe 10**9
+        path, data = saved
+        self._rewrite(path, lambda h, _: h["config"]["backbone"].update(layers=10**9))
+        assert main(["eval", "--model", str(path), "--data", str(data)]) == 2
+        _assert_one_line_error(capsys, "data error", f"{10**9} layers", "header's 42")
 
     @pytest.mark.parametrize("kind", tuple(PLUGINS))
     def test_config_echo_decodes_to_the_configs_the_model_was_built_with(self, tmp_path, kind):
