@@ -70,9 +70,10 @@ class AdapterParams:
     def forward(self, x: np.ndarray, counter: MacCounter | None, collect: bool):
         return adapter_forward(self, x, counter, collect)
 
-    def backward(self, trace: AdapterTrace, d_out: np.ndarray):
-        """(d_input, {field: gradient}) for the schema's tensors."""
-        g = adapter_backward(self, trace, d_out)
+    def backward(self, trace: AdapterTrace, d_out: np.ndarray, need_input: bool):
+        """(d_input, {field: gradient}) for the schema's tensors; d_input is
+        None, and not computed, when need_input is False."""
+        g = adapter_backward(self, trace, d_out, need_input)
         return g.d_input, {name: getattr(g, name) for name, _, _ in self.shapes(self.cfg)}
 
 
@@ -114,11 +115,14 @@ class AdapterGradients:
     up_bias: np.ndarray
     norm_gain: np.ndarray
     norm_bias: np.ndarray
-    d_input: np.ndarray
+    d_input: np.ndarray | None
 
 
-def adapter_backward(params: AdapterParams, trace: AdapterTrace, d_output: np.ndarray) -> AdapterGradients:
-    """Exact gradients for all six parameter tensors and the input (T, d)."""
+def adapter_backward(params: AdapterParams, trace: AdapterTrace, d_output: np.ndarray,
+                     need_input: bool = True) -> AdapterGradients:
+    """Exact gradients for all six parameter tensors and the input (T, d).
+    With need_input False the input gradient's product and add are skipped
+    and d_input is None; the parameter gradients are bitwise the same."""
     if d_output.shape != (trace.x.shape[0], params.cfg.d):
         raise ShapeError(f"d_output shape {d_output.shape} != {(trace.x.shape[0], params.cfg.d)}")
 
@@ -131,5 +135,5 @@ def adapter_backward(params: AdapterParams, trace: AdapterTrace, d_output: np.nd
     d_pre = d_hidden * gelu_grad_cached(trace.pre_act, trace.act_cdf)
     g_down = d_pre.T @ trace.x
     g_down_bias = d_pre.sum(axis=0)
-    d_x = d_y + d_pre @ params.down
+    d_x = d_y + d_pre @ params.down if need_input else None
     return AdapterGradients(g_down, g_down_bias, g_up, g_up_bias, d_gain, d_bias, d_x)

@@ -24,8 +24,11 @@ bitwise those of `h @ w.T + b`, `h + a` and the rest.
 
 `PLUGINS` gives each plugin kind its config and params types and its stack
 depth; a layer's plugin entry is a tuple of that many instances, each with
-`forward(x, counter, collect)`, `backward(trace, d_out)` and a `shapes(cfg)`
-schema. Every tensor group declares its (field, shape, init) entries once,
+`forward(x, counter, collect)`, `backward(trace, d_out, need_input)` and a
+`shapes(cfg)` schema; `backward` returns (d_input, {field: gradient}), with
+d_input None when need_input is False. `classify_backward` passes False to
+the lowest instance of layer 0's stack only, since nothing trainable lies
+below it. Every tensor group declares its (field, shape, init) entries once,
 init being a Gaussian standard deviation or a "zeros"/"ones" fill. Fresh and
 shape-only models come from one schema walk that only changes how each group
 is filled; `tensor_slots` walks a built model through the same declarations,
@@ -37,6 +40,7 @@ so identical text always yields identical ids with no vocabulary files.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field, fields
 
@@ -235,10 +239,26 @@ def tokenize(text: str, cfg: BackboneConfig) -> np.ndarray:
     return np.asarray(ids[: cfg.max_seq_len], dtype=np.int64)
 
 
+_MAX_SCALARS = np.iinfo(np.intp).max // np.dtype(np.float64).itemsize
+
+
+def _sized(fill):
+    """fill, refusing first with a ParameterError any schema entry with more
+    scalars than a float64 array can hold; numpy would raise a ValueError of
+    its own for the shape, zero-stride or not."""
+    def sized(schema):
+        for name, shape, _ in schema:
+            if math.prod(shape) > _MAX_SCALARS:
+                raise ParameterError(f"tensor {name} of shape {shape} is too large for an array")
+        return fill(schema)
+    return sized
+
+
 def _backbone_params(cfg: BackboneConfig, num_labels: int, fill) -> BackboneParams:
     """The backbone's schema walk: each group's tensors are fill(schema),
     embeddings first, then the layers in order, then the head."""
     check_counts({"num_labels": num_labels}, num_labels=2)
+    fill = _sized(fill)
     return BackboneParams(**fill(BackboneParams.embedding_shapes(cfg)),
                           layers=[LayerWeights(**fill(LayerWeights.shapes(cfg)))
                                   for _ in range(cfg.layers)],
@@ -248,7 +268,7 @@ def _backbone_params(cfg: BackboneConfig, num_labels: int, fill) -> BackbonePara
 def _plugin_spec(kind: str, layers: int, plugin_cfg, fill) -> PluginSpec:
     """The plugin's schema walk: each instance's tensors are fill(schema),
     layer by layer and, within a layer, instance by instance."""
-    pk = plugin_kind(kind)
+    pk, fill = plugin_kind(kind), _sized(fill)
     return PluginSpec(kind, [tuple(pk.params(plugin_cfg, **fill(pk.params.shapes(plugin_cfg)))
                                    for _ in range(pk.depth))
                              for _ in range(layers)])
@@ -372,12 +392,15 @@ def _plugin_forward(plugin: PluginSpec, layer: int, x_flat: np.ndarray,
     return x_flat, traces
 
 
-def _plugin_backward(plugin: PluginSpec, layer: int, traces, d_out: np.ndarray):
-    """Returns (d_input, {local tensor name: gradient})."""
+def _plugin_backward(plugin: PluginSpec, layer: int, traces, d_out: np.ndarray,
+                     need_input: bool):
+    """Returns (d_input, {local tensor name: gradient}). With need_input
+    False the stack's lowest instance computes no input gradient and d_input
+    is None; the instances above it still pass theirs down."""
     stack = plugin.layers[layer]
     grads = [None] * len(stack)
     for i in reversed(range(len(stack))):
-        d_out, grads[i] = stack[i].backward(traces[i], d_out)
+        d_out, grads[i] = stack[i].backward(traces[i], d_out, need_input or i > 0)
     return d_out, {_stack_tag(i, len(stack)) + name: g
                    for i, named in enumerate(grads) for name, g in named.items()}
 
@@ -459,7 +482,8 @@ def classify_backward(model: Model, fw_state, d_logits: np.ndarray) -> dict[str,
 
     fw_state is classify_forward's, run with collect=True. The frozen
     backbone contributes activation gradients but none of its weights receive
-    one; the walk stops once the lowest plugin has been differentiated. The
+    one; the walk stops once the lowest plugin has been differentiated, and
+    that plugin computes no input gradient. The
     top layer's gradients are (B, d), one row per sequence, until its
     attention spreads them over every row through the keys and values.
     """
@@ -477,7 +501,7 @@ def classify_backward(model: Model, fw_state, d_logits: np.ndarray) -> dict[str,
     for l in range(model.cfg.layers - 1, -1, -1):
         attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace = bundle[l]
         lw = model.params.layers[l]
-        d_h, pgrads = _plugin_backward(model.plugin, l, ptrace, d_h)
+        d_h, pgrads = _plugin_backward(model.plugin, l, ptrace, d_h, need_input=l > 0)
         for name, g in pgrads.items():
             grads[f"plugin.layer{l}.{name}"] = g
         if l == 0:

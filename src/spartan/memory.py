@@ -90,10 +90,12 @@ class SpartanLayerParams:
     def forward(self, x: np.ndarray, counter: MacCounter | None, collect: bool):
         return forward_batch(self, x, counter, collect)
 
-    def backward(self, trace: BatchTrace, d_out: np.ndarray):
-        """(d_input, {field: gradient}) for the schema's tensors."""
-        g = backward_batch(self, trace, d_out)
-        return g.d_input, {name: getattr(g, name) for name, _, _ in self.shapes(self.cfg)}
+    def backward(self, trace: BatchTrace, d_out: np.ndarray, need_input: bool):
+        """(d_input, {field: gradient}) for the schema's tensors; d_input is
+        None, and not computed, when need_input is False."""
+        g = backward_batch(self, trace, d_out, need_input)
+        return (g.d_input if need_input else None,
+                {name: getattr(g, name) for name, _, _ in self.shapes(self.cfg)})
 
 
 @dataclass
@@ -134,13 +136,25 @@ def init_params(cfg: SpartanConfig, rng: np.random.Generator) -> SpartanLayerPar
 
 def _block_size(n: int, t: int) -> int:
     """Parents per block: 4 or 2 if the number of (block, pattern) groups,
-    ceil(n/b) * (2**b - 1), stays within max(n, t/16), else 1. Fewer, larger
-    groups cut gathers; too many groups leave each too few positions to pay
-    for its products. In measured float32 forward times (d=768, K=8) b=4 was
-    fastest for N=16 from T=512 up (this rule takes it from T=960), b=1 for
-    N=256 at T=1024, and b=8 never."""
+    ceil(n/b) * (2**b - 1), stays within max(n, t // 8), else 1. Fewer,
+    larger groups cut gathers; too many groups leave each too few positions
+    to pay for its products. Fitted on forward + backward medians of 12
+    interleaved rounds (K=8, c=3, one BLAS thread; 2-core x86 host, numpy
+    2.4.6, OpenBLAS 0.3.31) over T in {16, 64, 128, 192, 256, 336, 512,
+    1024}, N in {16, 64, 256}, d=128 float64 and d=768 float32. Medians in
+    ms for b = 1 / 2 / 4:
+      N=16, d=128, T=336 (finetune's training rows): 2.50 / 2.33 / 2.95
+      N=16, d=768, T=512: 11.98 / 8.58 / 6.75; T=1024: 36.92 / 22.88 / 12.94
+      N=16, T=16 (a pooled top layer): 0.67 / 0.81 / 1.30 at d=128
+      N=256, d=768, T=1024 (memory-wide): 34.39 / 35.96 / 42.72
+    At every swept shape this rule's b was within 0.5 ms of the fastest. It
+    misses most at N=64, d=128, T=1024 (9.49 ms at b=2, 9.02 at b=1) and at
+    N=16, d=128, T=512 (3.61 at b=4, 3.32 at b=2; finetune's evaluation
+    batches have 504 rows). With t // 16 it missed by up to 1.9 ms (N=16,
+    d=768, T=336 and 512). An earlier d=768 float32 forward sweep found b=8
+    never fastest."""
     for b in (4, 2):
-        if -(-n // b) * ((1 << b) - 1) <= max(n, t // 16):
+        if -(-n // b) * ((1 << b) - 1) <= max(n, t // 8):
             return b
     return 1
 
@@ -257,7 +271,8 @@ def forward_batch(params: SpartanLayerParams, x: np.ndarray, counter: MacCounter
                            pair=pair, attn=attn, groups=groups, output=out)
 
 
-def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndarray) -> SpartanGradients:
+def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndarray,
+                   need_input: bool = True) -> SpartanGradients:
     """Batched backward; parameter gradients are summed over positions and
     d_input is the full (T, d) activation gradient. It reuses the forward's
     groups: per group, D = d_out_g @ V_cols.T gives every u[t, k] =
@@ -266,7 +281,13 @@ def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndar
     product against the [child keys; parent] rows of the group's parents
     updates d_input, one against x[pos] gives both gradients, as views of one
     (N, c+1, d) buffer; the [child keys; parent] rows are stacked once per
-    call. No product covers an unselected parent."""
+    call. No product covers an unselected parent.
+
+    With need_input False the d_input products, the copy of d_out they add
+    onto and the stacked rows are skipped, and d_input is a read-only
+    zero-stride NaN view of d_out's shape and dtype: perfbench's tracer
+    describes each call by that shape and dtype, and a read of it as a
+    gradient gives NaN. The parameter gradients are bitwise the same."""
     cfg = params.cfg
     n, c, d = cfg.num_parents, cfg.children_per_parent, cfg.d
     if d_out.shape != trace.x.shape:
@@ -274,8 +295,8 @@ def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndar
     x, w, pair, attn = trace.x, trace.agg_weights, trace.pair, trace.attn
     value_rows, g_values = params.child_values.reshape(n * c, d), np.zeros_like(params.child_values)
     gv = g_values.reshape(n * c, d)
-    rows = np.concatenate((params.child_keys, params.parents[:, None]), axis=1)
-    g_rows = np.zeros(rows.shape, dtype=params.child_keys.dtype)  # [child keys; parent] per parent
+    rows = np.concatenate((params.child_keys, params.parents[:, None]), axis=1) if need_input else None
+    g_rows = np.zeros((n, c + 1, d), dtype=params.child_keys.dtype)  # [child keys; parent] per parent
     # each group's span of the pair rows
     ends = itertools.accumulate(len(g[2]) for g in trace.groups)
     spans = [(cols, pos, slice(z - len(p), z)) for (cols, pos, p, _), z in zip(trace.groups, ends)]
@@ -292,10 +313,14 @@ def backward_batch(params: SpartanLayerParams, trace: BatchTrace, d_out: np.ndar
     d_cols = np.empty((len(pair), c + 1), dtype=coef.dtype)
     np.multiply(coef, d_attn - u_pairs[:, None], out=d_cols[:, :c])
     d_cols[:, c] = (w * (u - (u * w).sum(axis=1, keepdims=True))).ravel()[pair]
-    d_x = d_out.astype(d_cols.dtype)
+    if need_input:
+        d_x = d_out.astype(d_cols.dtype)
+    else:
+        d_x = np.broadcast_to(np.array(np.nan, d_cols.dtype), d_out.shape)
     for cols, pos, s in spans:
         parents = slice(cols.start // c, cols.stop // c) if isinstance(cols, slice) else cols[::c] // c
         dl = d_cols[s].reshape(len(pos), -1)
-        d_x[pos] += dl @ rows[parents].reshape(-1, d)
+        if need_input:
+            d_x[pos] += dl @ rows[parents].reshape(-1, d)
         g_rows[parents] += (dl.T @ x[pos]).reshape(-1, c + 1, d)
     return SpartanGradients(g_rows[:, c], g_rows[:, :c], g_values, d_x)

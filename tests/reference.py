@@ -182,7 +182,8 @@ def classify_backward(model, fw_state, d_logits):
     fw_state is (layer caches, pooled rows): classify_forward's, or encode's
     bundle with hidden[:, 0], whose top layer ran on every row. Then the
     gradient enters at each sequence's first row and is zero elsewhere: the
-    full-row backward.
+    full-row backward. Unlike the package, it has layer 0's plugin compute
+    its input gradient too.
     """
     bundle, pooled = fw_state
     grads = {
@@ -200,7 +201,7 @@ def classify_backward(model, fw_state, d_logits):
     for l in range(model.cfg.layers - 1, -1, -1):
         attn_cache, ln1_cache, ffn_cache, ln2_cache, ptrace = bundle[l]
         lw = model.params.layers[l]
-        d_h, pgrads = _plugin_backward(model.plugin, l, ptrace, d_h)
+        d_h, pgrads = _plugin_backward(model.plugin, l, ptrace, d_h, need_input=True)
         for name, g in pgrads.items():
             grads[f"plugin.layer{l}.{name}"] = g
         if l == 0:

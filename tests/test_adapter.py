@@ -116,6 +116,27 @@ class TestBackward:
             assert max_rel_err(getattr(g, name), central_diff(loss, arr)) <= 1e-6, name
         assert max_rel_err(g.d_input, central_diff(loss, x)) <= 1e-6
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_skipped_input_gradient_leaves_parameter_gradients_bitwise(self, dtype):
+        cfg = AdapterConfig(d=8, bottleneck=4)
+        p, rng = randomized_adapter(cfg, 7)
+        params = AdapterParams(cfg, *(getattr(p, name).astype(dtype)
+                                      for name, _, _ in AdapterParams.shapes(cfg)))
+        x, u = rng.normal(size=(2, 5, 8)).astype(dtype)
+        _, trace = adapter_forward(params, x, collect_trace=True)
+        full = adapter_backward(params, trace, u)
+        skip = adapter_backward(params, trace, u, need_input=False)
+        assert skip.d_input is None
+        for need_input in (False, True):
+            d_input, grads = params.backward(trace, u, need_input)
+            if need_input:
+                assert d_input.tobytes() == full.d_input.tobytes()
+            else:
+                assert d_input is None
+            for name, g in grads.items():
+                assert g.tobytes() == getattr(full, name).tobytes(), name
+                assert getattr(skip, name).tobytes() == g.tobytes(), name
+
     def test_gelu_gradient_at_zero(self):
         x = np.array([0.0])
         assert gelu_grad_cached(x, gelu_cached(x)[1])[0] == pytest.approx(0.5, abs=1e-15)

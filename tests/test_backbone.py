@@ -347,6 +347,64 @@ class TestTensorNames:
         assert [(n, t) for n, _, t in shapes] == expect
 
 
+class TestLowestPluginSkipsItsInputGradient:
+    """classify_backward asks the lowest instance of layer 0's stack for no
+    input gradient, since nothing trainable lies below it. Its gradients are
+    bitwise those of a pass in which that instance computes one."""
+
+    @staticmethod
+    def record(monkeypatch, force_input):
+        """Wrap both plugin backwards; each call appends (params, d_out,
+        need_input, d_input). With force_input every call computes d_input."""
+        calls = []
+        for module, name in ((memory_mod, "backward_batch"), (adapter_mod, "adapter_backward")):
+            def wrapper(params, trace, d_out, need_input=True, _original=getattr(module, name)):
+                g = _original(params, trace, d_out, need_input or force_input)
+                calls.append((params, d_out, need_input, g.d_input))
+                return g
+            monkeypatch.setattr(module, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["none", "spartan", "adapter", "adapterx2"])
+    def test_gradients_match_a_pass_that_computes_it(self, kind, monkeypatch):
+        model = small_model(25, kind)
+        rng = make_rng(26)
+        for stack in model.plugin.layers:
+            for inst in stack:
+                for name in ("child_values", "up"):  # zero at init: make the plugin act
+                    if hasattr(inst, name):
+                        setattr(inst, name, rng.normal(0.0, 0.3, getattr(inst, name).shape))
+        model.params.head_weight[...] = rng.normal(0.0, 0.3, model.params.head_weight.shape)
+        ids = rng.integers(0, CFG.vocab_hash_buckets, size=(3, 7))
+        logits, state = classify_forward(model, ids, collect=True)
+        d_logits = rng.standard_normal(logits.shape)
+
+        with monkeypatch.context() as patch:
+            calls = self.record(patch, force_input=False)
+            grads = classify_backward(model, state, d_logits)
+        with monkeypatch.context() as patch:
+            self.record(patch, force_input=True)
+            want = classify_backward(model, state, d_logits)
+        assert grads.keys() == want.keys()
+        for name, g in grads.items():
+            assert g.tobytes() == want[name].tobytes(), name
+        # only the last call, layer 0's lowest instance, skips its d_input
+        asked = [need for _, _, need, _ in calls]
+        assert asked == ([True] * (len(calls) - 1) + [False] if calls else [])
+        assert len(calls) == CFG.layers * len(model.plugin.layers[0])
+
+    def test_upper_instance_of_layer_0_still_passes_its_input_gradient_down(self, monkeypatch):
+        model = small_model(27, "adapterx2")
+        ids = make_rng(28).integers(0, CFG.vocab_hash_buckets, size=(2, 5))
+        logits, state = classify_forward(model, ids, collect=True)
+        calls = self.record(monkeypatch, force_input=False)
+        classify_backward(model, state, np.ones_like(logits))
+        (upper, _, upper_need, d_input), (lower, d_out, lower_need, lower_d_input) = calls[-2:]
+        assert (upper, lower) == model.plugin.layers[0][::-1]
+        assert upper_need and d_input is d_out and np.isfinite(d_input).all()
+        assert not lower_need and lower_d_input is None
+
+
 class TestDispatchAtCallTime:
     """The plugin dispatch must look the layer functions up in their modules
     on every call: profilers and tests replace those module attributes."""

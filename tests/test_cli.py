@@ -252,6 +252,17 @@ class TestTrainCommand:
         _assert_one_line_error(capsys, "config error", "Unable to allocate")
         assert not (tmp / "x.json").exists()
 
+    def test_count_past_an_arrays_size_exits_1_with_one_line(self, workdir, capsys):
+        # 10**18 x 32 scalars are more than any float64 array can index
+        tmp, _, data = workdir
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps({**TINY_CONFIG, "num_labels": 10**18}))
+        code = main(["train", "--config", str(bad), "--data", str(data),
+                     "--out", str(tmp / "x.json")])
+        assert code == 1
+        _assert_one_line_error(capsys, "config error", "head_weight", "too large")
+        assert not (tmp / "x.json").exists()
+
     def test_malformed_jsonl_exits_2_with_line(self, workdir, capsys):
         tmp, config, _ = workdir
         bad = tmp / "bad.jsonl"
@@ -588,6 +599,19 @@ class TestParamsCommand:
         assert len(json.dumps(echo).encode("utf-8") + b"\n") == report["header_bytes"]
         assert len(line) > report["header_bytes"]
 
+
+    @pytest.mark.parametrize("section, field", [(None, "num_labels"),
+                                                ("backbone", "vocab_hash_buckets"),
+                                                ("plugin", "num_parents")])
+    def test_count_past_an_arrays_size_exits_1_with_one_line(self, workdir, capsys,
+                                                              section, field):
+        tmp, _, _ = workdir
+        conf = json.loads(json.dumps(TINY_CONFIG))
+        (conf[section] if section else conf)[field] = 10**18
+        bad = tmp / "bad.json"
+        bad.write_text(json.dumps(conf))
+        assert main(["params", "--config", str(bad)]) == 1
+        _assert_one_line_error(capsys, "config error", "too large")
 
     @pytest.mark.parametrize("num_labels, row", [
         (None, "(2 labels, assumed: the config sets none)"), (4, "(4 labels)")])

@@ -375,7 +375,7 @@ class TestBatchedPath:
             assert np.all(g.child_keys[i] == 0.0)
             assert np.all(g.child_values[i] == 0.0)
 
-    @pytest.mark.parametrize("t, block", [(6, 1), (120, 2), (240, 4)])
+    @pytest.mark.parametrize("t, block", [(6, 1), (60, 2), (240, 4)])
     def test_backward_batch_matches_central_finite_differences(self, t, block):
         # criterion 01's bound on the production path, one, two and four
         # parents per block; every position is kept off top-K ties
@@ -396,7 +396,7 @@ class TestBatchedPath:
 
     @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     @pytest.mark.parametrize("n, k, t, block", [(64, 4, 500, 1), (256, 8, 1024, 1),
-                                                (64, 4, 2000, 2), (10, 3, 800, 4), (16, 8, 1024, 4)])
+                                                (64, 4, 1000, 2), (10, 3, 800, 4), (16, 8, 1024, 4)])
     def test_backward_batch_matches_the_dense_parent_oracle(self, n, k, t, block, dtype, tol):
         # the parent gradient through the groups against the dense (T, N)
         # products; N=10 leaves a short last block, and K=3 of a block of 4
@@ -418,6 +418,41 @@ class TestBatchedPath:
             assert np.max(np.abs(getattr(g, name) - want)) <= tol * np.max(np.abs(want)), name
         unused = ~np.isin(np.arange(n), trace.selected)
         assert np.all(g.parents[unused] == 0.0) and np.all(g.child_keys[unused] == 0.0)
+
+    def test_block_rule_on_the_shapes_the_program_serves(self):
+        # finetune's pooled top layer and criterion 05's counter check (T=16),
+        # finetune's training rows (T=336), criteria 05 and 06 (T=1024) and
+        # memory-wide (N=256)
+        for n, t, block in ((16, 16, 1), (16, 336, 2), (16, 1024, 4), (256, 1024, 1)):
+            assert _block_size(n, t) == block, (n, t)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("t, block", [(6, 1), (60, 2), (240, 4)])
+    def test_skipped_input_gradient_leaves_parameter_gradients_bitwise(self, t, block, dtype):
+        cfg = SpartanConfig(d=6, num_parents=4, children_per_parent=2, top_k=2)
+        assert _block_size(cfg.num_parents, t) == block
+        p, rng = random_params(cfg, 87 + t)
+        params = SpartanLayerParams(cfg, p.parents.astype(dtype), p.child_keys.astype(dtype),
+                                    p.child_values.astype(dtype))
+        x, d_out = rng.normal(size=(2, t, 6)).astype(dtype)
+        _, trace = forward_batch(params, x, collect_trace=True)
+        full = backward_batch(params, trace, d_out)
+        skip = backward_batch(params, trace, d_out, need_input=False)
+        for name in ("parents", "child_keys", "child_values"):
+            assert getattr(skip, name).tobytes() == getattr(full, name).tobytes(), name
+        # no gradient, only the call's shape and dtype: read-only NaN, no storage
+        assert (skip.d_input.shape, skip.d_input.dtype) == ((t, 6), dtype)
+        assert skip.d_input.strides == (0, 0) and not skip.d_input.flags.writeable
+        assert np.isnan(skip.d_input).all()
+        # the plugin interface returns None for it
+        for need_input in (False, True):
+            d_input, grads = params.backward(trace, d_out, need_input)
+            if need_input:
+                assert d_input.tobytes() == full.d_input.tobytes()
+            else:
+                assert d_input is None
+            for name, g in grads.items():
+                assert g.tobytes() == getattr(full, name).tobytes(), name
 
     def test_backward_batch_builds_nothing_positions_by_parents(self):
         # one (T, N) float64 array here is 33.5 MB; the backward's own

@@ -1,7 +1,9 @@
 """Smoke tests: each script in scripts/ runs to exit 0 in a fresh interpreter."""
 
 import csv
+import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,3 +47,18 @@ def test_throughput_sweep_measures_every_arm_at_toy_shapes(tmp_path):
     assert printed == arms, out
     with open(tmp_path / "sweep.csv", newline="") as fh:
         assert [row["arm"] for row in csv.DictReader(fh)] == arms
+
+
+def test_bench_record_writes_one_file_that_bench_compare_reads(tmp_path):
+    run_script("bench_record.py", "--out", "bench.json", "--seconds", "1",
+               "--workloads", "encode-f32", cwd=tmp_path)
+    record = json.loads((tmp_path / "bench.json").read_text())
+    assert re.fullmatch(r"[0-9a-f]{40}", record["commit"])
+    assert "--workloads encode-f32" in record["command"]
+    assert [(run["workload"], run["trace"]) for run in record["runs"]] == [
+        ("encode-f32", False), ("encode-f32", True)]
+    assert all(run["checks"]["failed"] == 0 for run in record["runs"])
+    out = run_script("bench_compare.py", "bench.json", "bench.json", cwd=tmp_path)
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert {row[1] for row in rows} >= {"inst_per_s", "peak_rss_mb", "adapter.fwd_ms"}
+    assert all(row[4] == "1.000" for row in rows)
