@@ -47,14 +47,15 @@ def compare(old, new, spec: dict) -> tuple:
         for metrics, a, b in sections:
             for metric in metrics:
                 key = (workload, metric["name"])
-                if a.get(key, 0) == 0 and b.get(key, 0) == 0:
+                was, now = a.get(key, 0.0), b.get(key, 0.0)
+                if was == 0 and now == 0:
                     continue  # absent, or a layer the workload does not run (it reads 0)
-                ratio = b[key] / a[key] if a[key] else float("nan")
+                ratio = now / was if was else float("nan")
                 bound = metric.get("bound")
                 mark = ""
                 if bound is not None and worse_by(ratio, metric["better"]) > bound:
                     mark, breaches = "WORSE", breaches + 1
-                lines.append(f"{workload:12s} {metric['name']:26s} {a[key]:>14.6g} {b[key]:>14.6g} "
+                lines.append(f"{workload:12s} {metric['name']:26s} {was:>14.6g} {now:>14.6g} "
                              f"{ratio:>8.3f} {'-' if bound is None else f'{bound:.2f}':>6s} "
                              f"{metric['better']:6s} {mark}".rstrip())
     return lines, breaches
@@ -64,9 +65,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old")
     ap.add_argument("new")
-    ap.add_argument("--spec", default=str(ROOT / "BENCHMARK.json"))
     args = ap.parse_args(argv)
-    spec = json.loads(Path(args.spec).read_text(encoding="utf-8"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     lines, breaches = compare(args.old, args.new, spec)
     print(f"{'workload':12s} {'metric':26s} {'old':>14s} {'new':>14s} {'ratio':>8s} "
           f"{'bound':>6s} better")
