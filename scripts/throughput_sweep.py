@@ -6,7 +6,9 @@ only defensible way to compare wall-clock numbers on a machine whose load
 drifts. Besides the standard arms, an adapter at bottleneck 32 is included:
 its 2*d*b projection cost (49,152 MACs/position at d=768) exactly matches the
 sparse memory layer's total at the default shapes, so that pair isolates the
-cost of dispatch versus dense projection at equal arithmetic.
+cost of dispatch versus dense projection at equal arithmetic. The MAC column
+is each arm's counted multiply-accumulates per position, as its reports
+carry them.
 
 Example:
     python scripts/throughput_sweep.py --out sweep.csv --rounds 5
@@ -15,7 +17,7 @@ Example:
 import argparse
 import csv
 
-from spartan.bench import BenchConfig, compare_throughput, count_macs
+from spartan.bench import BenchConfig, compare_reports, median_throughput
 
 
 def main():
@@ -42,12 +44,12 @@ def main():
 
     print(f"measuring {len(arms)} arms x {args.rounds} interleaved rounds "
           f"x {args.measure_seconds:.0f}s windows ...")
-    medians = compare_throughput(arms, mode="micro", rounds=args.rounds)
+    reports = compare_reports(arms, mode="micro", rounds=args.rounds)
+    medians = median_throughput(reports)
 
     rows = []
     for name, cfg in arms.items():
-        macs = count_macs(cfg.architecture, cfg.d, cfg.num_parents,
-                          cfg.children_per_parent, cfg.top_k, cfg.bottleneck)
+        macs = reports[name][0].macs_per_position_per_plugin
         rows.append({"arm": name, "architecture": cfg.architecture, "top_k": cfg.top_k,
                      "bottleneck": cfg.bottleneck, "macs_per_position": macs,
                      "instances_per_minute": round(medians[name], 1)})

@@ -55,9 +55,8 @@ def collect_selections(model: Model, dataset: list[Example], layer="last") -> li
     """One record per example: parent probabilities and argmax at the chosen
     layer, read at the first position. Pure read; the model is not touched.
     Forwards run in training.eval_batches' bounded chunks, so a probability
-    may differ by a few ulps from a forward of the whole length group."""
-    if model.plugin.kind != "spartan":
-        raise ParameterError("selection analysis requires the spartan plugin")
+    may differ by a few ulps from a forward of the whole length group.
+    `encode`'s routing capture refuses a model without the spartan plugin."""
     if not dataset:
         raise ParameterError("dataset must be nonempty")
     layer_idx = resolve_layer(model, layer)

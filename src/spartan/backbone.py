@@ -444,17 +444,17 @@ def _run_layers(model: Model, ids: np.ndarray, counter: MacCounter | None, colle
 
 
 def encode(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
-           collect: bool = False, capture_routing: bool = False):
+           capture_routing: bool = False):
     """Run the stack over a batch of equal-length id sequences.
 
-    ids is (B, S). Returns (hidden (B, S, d), bundle, routing) where bundle
-    carries per-layer caches when collect=True and routing, when requested,
-    holds each layer's parent probabilities at the first position of every
-    sequence (spartan plugin only).
+    ids is (B, S). Returns (hidden (B, S, d), None, routing) where routing,
+    when requested, holds each layer's parent probabilities at the first
+    position of every sequence (spartan plugin only). The training path's
+    caches come from `classify_forward`.
     """
     ids = np.atleast_2d(np.asarray(ids))
-    h, bundle, routing = _run_layers(model, ids, counter, collect, capture_routing, False)
-    return h.reshape(*ids.shape, model.cfg.d), bundle, routing
+    h, _, routing = _run_layers(model, ids, counter, False, capture_routing, False)
+    return h.reshape(*ids.shape, model.cfg.d), None, routing
 
 
 def classify(params: BackboneParams, pooled: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ while a bench measures; no cgroup or frequency emulation. The finetune mode
 times the training step itself: `training.compute_batch_gradients` followed
 by `adam_step`. Timing uses the monotonic clock. Wall-clock comparisons
 between architectures should interleave their measurement windows (see
-compare_throughput) because machine load drifts on shared hosts; a single
+compare_reports) because machine load drifts on shared hosts; a single
 pair of back-to-back runs is not trustworthy.
 """
 
@@ -32,6 +32,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import training
+from .adapter import AdapterConfig
 from .backbone import (
     PLUGINS,
     BackboneConfig,
@@ -45,6 +46,7 @@ from .backbone import (
     plugin_slots,
     tensor_slots,
 )
+from .memory import SpartanConfig
 from .numerics import MacCounter, ParameterError, check_counts, make_rng
 
 ARCHITECTURES = tuple(PLUGINS)
@@ -59,15 +61,16 @@ class BenchConfig:
     measure_seconds: float = 2.0
     seed: int = 0
     precision: str = "f32"
-    # model shapes; defaults are the full-size comparison configuration
+    # model shapes; defaults are the full-size comparison configuration, the
+    # plugin's those of its config types
     d: int = 768
     layers: int = 12
     heads: int = 12
     ffn_dim: int = 3072
-    num_parents: int = 16
-    children_per_parent: int = 3
-    top_k: int = 8
-    bottleneck: int = 64
+    num_parents: int = SpartanConfig.num_parents
+    children_per_parent: int = SpartanConfig.children_per_parent
+    top_k: int = SpartanConfig.top_k
+    bottleneck: int = AdapterConfig.bottleneck
     num_labels: int = 2
     vocab_hash_buckets: int = 2048
 
@@ -144,25 +147,6 @@ def environment_fingerprint(cfg: BenchConfig, blas_threads) -> dict:
         "blas_threads_env": {var: os.environ.get(var)
                              for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
     }
-
-
-def count_macs(architecture: str, d: int, num_parents: int = 16,
-               children_per_parent: int = 3, top_k: int = 8, bottleneck: int = 64) -> int:
-    """Closed-form multiply-accumulates per position for the plugin alone.
-
-    Sparse memory: N*d parent scoring plus K*c*2*d child key/value work.
-    Adapter: 2*d*b for the two projections; its normalization is element
-    ops, not MACs.
-    """
-    if architecture == "spartan":
-        return num_parents * d + 2 * top_k * children_per_parent * d
-    if architecture == "adapter":
-        return 2 * d * bottleneck
-    if architecture == "adapterx2":
-        return 4 * d * bottleneck
-    if architecture == "none":
-        return 0
-    raise ParameterError(f"architecture {architecture!r} not one of {ARCHITECTURES}")
 
 
 def _dtype(cfg: BenchConfig):
@@ -264,15 +248,14 @@ def run_inference_bench(cfg: BenchConfig) -> BenchReport:
     return _measure(cfg, "inference", lambda counter: classify_forward(model, ids, counter)[0])
 
 
-def run_finetune_bench(cfg: BenchConfig,
-                       train_cfg: training.TrainConfig | None = None) -> BenchReport:
+def run_finetune_bench(cfg: BenchConfig) -> BenchReport:
     """Training-step throughput: the step `training.train` runs, that is
     compute_batch_gradients (forward and backward) and then adam_step.
 
     MACs are the plugin forward's, counted as it runs; the backward pass is
     not instrumented. The reported output dtype is the step's gradients'.
     """
-    train_cfg = train_cfg or training.TrainConfig(batch_size=cfg.batch_size)
+    train_cfg = training.TrainConfig(batch_size=cfg.batch_size)
     rng = make_rng(cfg.seed)
     model = build_bench_model(cfg, rng)
     ids = rng.integers(0, cfg.vocab_hash_buckets, size=(cfg.batch_size, cfg.seq_len))
@@ -315,12 +298,6 @@ def median_throughput(reports: dict[str, list[BenchReport]]) -> dict[str, float]
     """Median instances/minute per arm."""
     return {name: float(np.median([r.instances_per_minute for r in runs]))
             for name, runs in reports.items()}
-
-
-def compare_throughput(arms: dict[str, BenchConfig], mode: str = "micro",
-                       rounds: int = 5) -> dict[str, float]:
-    """Median instances/minute per arm, measured in interleaved rounds."""
-    return median_throughput(compare_reports(arms, mode, rounds))
 
 
 def write_report_json(path, report: BenchReport) -> None:

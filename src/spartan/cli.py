@@ -158,29 +158,23 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
+# each bench flag's dest and the BenchConfig field it sets, whose default is the flag's
+_BENCH_FLAGS = {"arch": "architecture", "batch": "batch_size", "seq_len": "seq_len",
+                "warmup": "warmup_batches", "measure_seconds": "measure_seconds",
+                "precision": "precision", "d": "d", "layers": "layers", "heads": "heads",
+                "ffn_dim": "ffn_dim", "num_parents": "num_parents",
+                "children": "children_per_parent", "top_k": "top_k",
+                "bottleneck": "bottleneck", "seed": "seed"}
+
+
 def cmd_bench(args) -> int:
-    cfg = bench_mod.BenchConfig(
-        architecture=args.arch,
-        batch_size=args.batch,
-        seq_len=args.seq_len,
-        warmup_batches=args.warmup,
-        measure_seconds=args.measure_seconds,
-        seed=args.seed if args.seed is not None else 0,
-        precision=args.precision,
-        d=args.d,
-        layers=args.layers,
-        heads=args.heads,
-        ffn_dim=args.ffn_dim,
-        num_parents=args.num_parents,
-        children_per_parent=args.children,
-        top_k=args.top_k,
-        bottleneck=args.bottleneck,
-    )
+    cfg = bench_mod.BenchConfig(**{field: getattr(args, dest)
+                                   for dest, field in _BENCH_FLAGS.items()})
     report = bench_mod.RUNNERS[args.mode](cfg)
     prefix = Path(args.out)
     bench_mod.write_report_json(str(prefix) + ".json", report)
     bench_mod.write_report_csv(str(prefix) + ".csv", report)
-    print(f"{args.mode} {args.arch}: {report.instances_per_minute:.1f} instances/min "
+    print(f"{args.mode} {cfg.architecture}: {report.instances_per_minute:.1f} instances/min "
           f"({report.macs_per_position_per_plugin} plugin MACs/position)")
     print(f"reports: {prefix}.json {prefix}.csv")
     return EXIT_OK
@@ -248,22 +242,13 @@ def build_parser() -> _Parser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_bench = sub.add_parser("bench", help="throughput benchmarks")
-    p_bench.add_argument("--arch", default="spartan", choices=bench_mod.ARCHITECTURES)
     p_bench.add_argument("--mode", default="inference", choices=bench_mod.MODES)
-    p_bench.add_argument("--batch", type=int, default=32)
-    p_bench.add_argument("--seq-len", type=int, default=32)
-    p_bench.add_argument("--warmup", type=int, default=2)
-    p_bench.add_argument("--measure-seconds", type=float, default=2.0)
-    p_bench.add_argument("--precision", default="f32", choices=("f32", "f64"))
-    p_bench.add_argument("--d", type=int, default=768)
-    p_bench.add_argument("--layers", type=int, default=12)
-    p_bench.add_argument("--heads", type=int, default=12)
-    p_bench.add_argument("--ffn-dim", type=int, default=3072)
-    p_bench.add_argument("--num-parents", type=int, default=16)
-    p_bench.add_argument("--children", type=int, default=3)
-    p_bench.add_argument("--top-k", type=int, default=8)
-    p_bench.add_argument("--bottleneck", type=int, default=64)
-    p_bench.add_argument("--seed", type=int, default=None)
+    bdefault = bench_mod.BenchConfig()
+    choices = {"arch": bench_mod.ARCHITECTURES, "precision": ("f32", "f64")}
+    for dest, field in _BENCH_FLAGS.items():
+        default = getattr(bdefault, field)
+        p_bench.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
+                             choices=choices.get(dest))
     p_bench.add_argument("--out", default="bench_report", help="output prefix")
     p_bench.set_defaults(func=cmd_bench)
 

@@ -160,7 +160,8 @@ def run_layers(model, ids, counter, collect, gelu, pooled_top):
 
 
 def encode(model, ids, counter=None, collect=False, gelu=gelu_cached):
-    """The package's encode without its input checks and routing capture."""
+    """The package's encode without its input checks and routing capture,
+    with the per-layer caches of a full-row pass when collect is True."""
     h, layer_caches = run_layers(model, ids, counter, collect, gelu, False)
     return h.reshape(*ids.shape, model.cfg.d), layer_caches, None
 
@@ -270,6 +271,18 @@ def nmi_bruteforce(table) -> float:
 def adapter_param_count(cfg) -> int:
     """Scalars per adapter instance: 2*d*b + b + d + 2*d."""
     return 2 * cfg.d * cfg.bottleneck + cfg.bottleneck + cfg.d + 2 * cfg.d
+
+
+def count_macs(architecture, d, num_parents=16, children_per_parent=3, top_k=8,
+               bottleneck=64) -> int:
+    """Closed-form multiply-accumulates per position for the plugin alone, at
+    the paper's shapes by default. Sparse memory: N*d parent scoring plus
+    K*c*2*d child key/value work. Adapter: 2*d*b for its two projections per
+    instance; its normalization is element ops, not MACs."""
+    return {"none": 0,
+            "spartan": num_parents * d + 2 * top_k * children_per_parent * d,
+            "adapter": 2 * d * bottleneck,
+            "adapterx2": 2 * (2 * d * bottleneck)}[architecture]
 
 
 def iter_tensor_shapes(cfg, num_labels, kind, spartan_cfg=None, adapter_cfg=None):

@@ -205,9 +205,9 @@ def test_criterion_05_compute_sparsity_and_micro_throughput():
         from spartan.memory import forward_batch
         forward_batch(params, make_rng(1).normal(size=(16, 768)), counter=counter)
         per_position = counter.total // 16
-        analytic = bench_mod.count_macs("spartan", 768)
+        analytic = reference.count_macs("spartan", 768)
         assert per_position == analytic == 16 * 768 + 2 * 8 * 3 * 768
-        adapter_macs = bench_mod.count_macs("adapter", 768, bottleneck=64)
+        adapter_macs = reference.count_macs("adapter", 768, bottleneck=64)
         assert adapter_macs == 98304
         assert adapter_macs / analytic >= 1.6
 
@@ -247,7 +247,8 @@ def test_criterion_06_k_monotonicity():
                 d=768, num_parents=16, children_per_parent=3, top_k=k)
             for k in ks
         }
-        medians = bench_mod.compare_throughput(arms, mode="micro", rounds=5)
+        medians = bench_mod.median_throughput(bench_mod.compare_reports(arms, mode="micro",
+                                                                        rounds=5))
         elapsed = time.perf_counter() - start
         line = ", ".join(f"K={k}: {medians[f'K={k}']:.0f}" for k in ks)
         for prev, nxt in zip(ks, ks[1:]):

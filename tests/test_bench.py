@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from reference import count_macs
 from spartan import bench, training
 from spartan.backbone import _plugin_forward
 from spartan.bench import (
@@ -15,8 +16,7 @@ from spartan.bench import (
     BenchConfig,
     build_plugin_spec,
     compare_reports,
-    compare_throughput,
-    count_macs,
+    median_throughput,
     run_finetune_bench,
     run_inference_bench,
     run_micro_bench,
@@ -156,7 +156,8 @@ class TestRunners:
         cfg = BenchConfig(architecture="spartan", d=256, batch_size=32, seq_len=32,
                           num_parents=16, children_per_parent=3, top_k=8,
                           warmup_batches=2, measure_seconds=1.0)
-        medians = compare_throughput({"a": cfg, "b": cfg}, mode="micro", rounds=7)
+        medians = median_throughput(compare_reports({"a": cfg, "b": cfg}, mode="micro",
+                                                    rounds=7))
         a, b = medians["a"], medians["b"]
         assert abs(a - b) / max(a, b) <= 0.15
 
@@ -172,7 +173,7 @@ class TestRunners:
             "spartan": BenchConfig(architecture="spartan", **shapes),
             "adapter": BenchConfig(architecture="adapter", **shapes),
         }
-        medians = compare_throughput(arms, mode="inference", rounds=5)
+        medians = median_throughput(compare_reports(arms, mode="inference", rounds=5))
         assert medians["none"] >= medians["spartan"] * 0.98
         assert medians["none"] >= medians["adapter"] * 0.98
 

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from reference import count_macs
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
@@ -46,7 +48,12 @@ def test_throughput_sweep_measures_every_arm_at_toy_shapes(tmp_path):
     printed = [line.split()[0] for line in out.splitlines() if "instances/min" in line]
     assert printed == arms, out
     with open(tmp_path / "sweep.csv", newline="") as fh:
-        assert [row["arm"] for row in csv.DictReader(fh)] == arms
+        rows = list(csv.DictReader(fh))
+    assert [row["arm"] for row in rows] == arms
+    # the MAC column is what the arms' reports counted: the closed form, at d=32
+    assert [int(row["macs_per_position"]) for row in rows] == [
+        count_macs(row["architecture"], 32, top_k=int(row["top_k"]),
+                   bottleneck=int(row["bottleneck"])) for row in rows]
 
 
 def test_bench_record_writes_one_file_that_bench_compare_reads(tmp_path):

@@ -165,7 +165,7 @@ class TestCounterPassThrough:
             assert counted_grads[name].tobytes() == g.tobytes(), name
         rows = sum(len(ids) for ids in token_lists) * (cfg.layers - 1) + len(token_lists)
         assert counter.rows == rows
-        assert counter.total == bench.count_macs(
+        assert counter.total == reference.count_macs(
             arch, cfg.d, cfg.num_parents, cfg.children_per_parent, cfg.top_k,
             cfg.bottleneck) * rows
 
