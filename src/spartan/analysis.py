@@ -64,7 +64,7 @@ def collect_selections(model: Model, dataset: list[Example], layer="last") -> li
     token_lists = [tokenize(ex.text, model.cfg) for ex in dataset]
     records: list[SelectionRecord | None] = [None] * len(dataset)
     for idxs, ids in eval_batches(token_lists):
-        _, _, routing = encode(model, ids, capture_routing=True)
+        _, routing = encode(model, ids, capture_routing=True)
         probs = routing[layer_idx]                         # (B, N)
         arg = probs.argmax(axis=1)                         # ties -> lowest index
         for row, i in enumerate(idxs):

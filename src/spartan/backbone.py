@@ -447,14 +447,14 @@ def encode(model: Model, ids: np.ndarray, counter: MacCounter | None = None,
            capture_routing: bool = False):
     """Run the stack over a batch of equal-length id sequences.
 
-    ids is (B, S). Returns (hidden (B, S, d), None, routing) where routing,
-    when requested, holds each layer's parent probabilities at the first
+    ids is (B, S). Returns (hidden (B, S, d), routing) where routing, None
+    unless requested, holds each layer's parent probabilities at the first
     position of every sequence (spartan plugin only). The training path's
     caches come from `classify_forward`.
     """
     ids = np.atleast_2d(np.asarray(ids))
     h, _, routing = _run_layers(model, ids, counter, False, capture_routing, False)
-    return h.reshape(*ids.shape, model.cfg.d), None, routing
+    return h.reshape(*ids.shape, model.cfg.d), routing
 
 
 def classify(params: BackboneParams, pooled: np.ndarray) -> np.ndarray:

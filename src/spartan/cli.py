@@ -35,18 +35,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_run_config() -> dict:
-    return {
-        "seed": 0,
-        "num_labels": None,
-        "backbone": asdict(BackboneConfig()),
-        "plugin": {"kind": "spartan"},
-        "train": {k: v for k, v in asdict(TrainConfig()).items()},
-    }
-
-
 def load_run_config(path: str | None) -> dict:
-    conf = _default_run_config()
+    """The run config at path over the defaults; a section holds only the
+    fields the file gives, and its dataclass supplies the rest."""
+    conf = {"seed": 0, "num_labels": None, "backbone": {}, "plugin": {"kind": "spartan"},
+            "train": {}}
     if path is None:
         return conf
     p = Path(path)
@@ -108,10 +101,9 @@ def cmd_train(args) -> int:
     model = Model(backbone_cfg, params, make_plugin(kind, backbone_cfg, rng, plugin_cfg))
 
     train_conf = dict(conf["train"])
-    train_conf["seed"] = seed
     if args.lr is not None:
         train_conf["learning_rate"] = args.lr
-    tcfg = build_config(TrainConfig, train_conf, "train")
+    tcfg = build_config(TrainConfig, train_conf, "train", seed=seed)  # train.seed is a usage error
 
     train_set = examples
     if args.few_shot is not None:
@@ -126,7 +118,6 @@ def cmd_train(args) -> int:
     out = Path(args.out)
     save_checkpoint(out, model, seed, label_manifest=manifest, extra_config={
         "train": asdict(tcfg),
-        "plugin_kind": kind,
         "num_train_examples": len(train_set),
         "data_path": str(args.data),
     })
@@ -213,7 +204,7 @@ def cmd_params(args) -> int:
     print(params_mod.render_table(report))
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(params_mod.report_to_dict(report), fh, indent=2)
+            json.dump(asdict(report), fh, indent=2)
             fh.write("\n")
         print(f"report: {args.out}")
     return EXIT_OK

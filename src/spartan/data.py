@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,42 +24,30 @@ class Example:
     label: int
 
 
-def default_keyword_pools(num_topics: int, keywords_per_topic: int = 12) -> list[list[str]]:
-    """Disjoint per-topic keyword pools built from fixed topic stems."""
+def default_keyword_pools(num_topics: int) -> list[list[str]]:
+    """Disjoint per-topic pools of 12 keywords built from fixed topic stems."""
     pools = []
     for t in range(num_topics):
         stem = _TOPIC_NAMES[t] if t < len(_TOPIC_NAMES) else f"topic{t}"
-        pools.append([f"{stem}_{j}" for j in range(keywords_per_topic)])
+        pools.append([f"{stem}_{j}" for j in range(12)])
     return pools
 
 
 @dataclass
 class SyntheticTopicTask:
-    """Bag-of-keywords topic task: each text draws mostly from its own pool."""
+    """Bag-of-keywords topic task: each text draws mostly from its own pool,
+    one of `default_keyword_pools(num_topics)`."""
 
     num_topics: int = 4
     examples_per_topic: int = 100
     words_per_example: int = 10
     noise_rate: float = 0.05
-    keyword_pools: list[list[str]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.num_topics < 2:
             raise ParameterError(f"num_topics must be >= 2, got {self.num_topics}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ParameterError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
-        if not self.keyword_pools:
-            self.keyword_pools = default_keyword_pools(self.num_topics)
-        if len(self.keyword_pools) != self.num_topics:
-            raise ParameterError("one keyword pool per topic required")
-        seen: set[str] = set()
-        for pool in self.keyword_pools:
-            if not pool:
-                raise ParameterError("empty keyword pool")
-            overlap = seen.intersection(pool)
-            if overlap:
-                raise ParameterError(f"keyword pools must be disjoint, shared: {sorted(overlap)}")
-            seen.update(pool)
 
 
 def generate_topic_dataset(task: SyntheticTopicTask, rng: np.random.Generator) -> list[Example]:
@@ -68,15 +56,16 @@ def generate_topic_dataset(task: SyntheticTopicTask, rng: np.random.Generator) -
     Each word comes from the example's own topic pool with probability
     1 - noise_rate, otherwise uniformly from some other topic's pool.
     """
+    pools = default_keyword_pools(task.num_topics)
     examples = []
     for label in range(task.num_topics):
-        own = task.keyword_pools[label]
+        own = pools[label]
         other_labels = [t for t in range(task.num_topics) if t != label]
         for _ in range(task.examples_per_topic):
             words = []
             for _ in range(task.words_per_example):
                 if task.noise_rate > 0.0 and rng.random() < task.noise_rate:
-                    pool = task.keyword_pools[other_labels[rng.integers(len(other_labels))]]
+                    pool = pools[other_labels[rng.integers(len(other_labels))]]
                 else:
                     pool = own
                 words.append(pool[rng.integers(len(pool))])
@@ -178,17 +167,13 @@ def few_shot_sample(examples: list[Example], k: int, rng: np.random.Generator) -
     assigned = 0
     # round-robin in rng-shuffled label order until k slots are filled
     order = [labels[i] for i in rng.permutation(len(labels))]
-    while assigned < k:
-        progressed = False
+    while assigned < k:  # k <= len(examples), so each pass assigns a slot
         for lab in order:
             if assigned == k:
                 break
             if counts[lab] < remaining[lab]:
                 counts[lab] += 1
                 assigned += 1
-                progressed = True
-        if not progressed:
-            break
 
     chosen: list[int] = []
     for lab in labels:

@@ -21,7 +21,6 @@ reproduces an entire run.
 
 from __future__ import annotations
 
-import math
 import numbers
 
 import numpy as np
@@ -126,15 +125,6 @@ def topk_rows(x: np.ndarray, k: int) -> np.ndarray:
     return (np.flatnonzero(take) % n).reshape(x.shape[0], k)
 
 
-def sample_gaussian(rng: np.random.Generator, n: int, stddev: float) -> np.ndarray:
-    """n draws from N(0, stddev^2); stddev 0 gives exact zeros."""
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    if stddev < 0:
-        raise ParameterError(f"stddev must be >= 0, got {stddev}")
-    return rng.normal(0.0, stddev, size=n)
-
-
 _FILLS = {"zeros": np.zeros, "ones": np.ones}
 
 
@@ -143,7 +133,7 @@ def init_tensors(schema, rng: np.random.Generator) -> dict:
     schema order. init is a Gaussian standard deviation, or "zeros" or "ones"
     for a constant fill that draws nothing."""
     return {name: _FILLS[init](shape) if isinstance(init, str)
-            else sample_gaussian(rng, math.prod(shape), init).reshape(shape)
+            else rng.normal(0.0, init, size=shape)
             for name, shape, init in schema}
 
 
@@ -214,14 +204,15 @@ def gelu_grad_cached(x: np.ndarray, cdf: np.ndarray) -> np.ndarray:
     return grad
 
 
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = LN_EPS):
-    """Normalize the last axis to zero mean / unit variance, then scale and shift.
+def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray):
+    """Normalize the last axis to zero mean / unit variance (LN_EPS added to
+    the variance), then scale and shift.
 
     Returns (out, (xhat, inv_std)); the cache feeds layer_norm_backward.
     """
     mu = x.mean(axis=-1, keepdims=True)
     var = x.var(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LN_EPS)
     xhat = (x - mu) * inv_std
     return gain * xhat + bias, (xhat, inv_std)
 

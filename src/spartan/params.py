@@ -14,7 +14,7 @@ Storage is what `checkpoint` counts for that model's file, backbone included.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from . import memory as memory_mod
 from .backbone import BackboneConfig, empty_model, iter_named_tensors, plugin_config
@@ -48,11 +48,6 @@ def spartan_formula_total(n_base: int, t: int, p: int, c: int, d: int, l: int) -
     return n_base + 2 * t * (p + p * c) * d * l
 
 
-def spartan_formula_added(t: int, p: int, c: int, d: int, l: int) -> int:
-    """The added term of the closed form alone: 2*T*(P + P*C)*d*L."""
-    return spartan_formula_total(0, t, p, c, d, l)
-
-
 def build_report(cfg: BackboneConfig, num_labels: int | None, plugin_kind: str, tasks: int = 1,
                  spartan_cfg=None, adapter_cfg=None) -> ParamReport:
     """Multi-task accounting: one frozen backbone serves `tasks` plugin copies.
@@ -79,7 +74,7 @@ def build_report(cfg: BackboneConfig, num_labels: int | None, plugin_kind: str, 
     if isinstance(pcfg, memory_mod.SpartanConfig):  # the closed form models the memory layer only
         total_formula = spartan_formula_total(backbone, tasks, pcfg.num_parents,
                                               pcfg.children_per_parent, pcfg.d, cfg.layers)
-        formula_added = spartan_formula_added(1, pcfg.num_parents,
+        formula_added = spartan_formula_total(0, 1, pcfg.num_parents,
                                               pcfg.children_per_parent, pcfg.d, cfg.layers)
         gap = (formula_added - added) / added
     header, body = checkpoint_bytes(model)
@@ -100,10 +95,6 @@ def build_report(cfg: BackboneConfig, num_labels: int | None, plugin_kind: str, 
         all_task_files_bytes=tasks * (header + body),
         formula_gap_fraction=gap,
     )
-
-
-def report_to_dict(report: ParamReport) -> dict:
-    return asdict(report)
 
 
 def render_table(report: ParamReport) -> str:

@@ -160,10 +160,10 @@ def run_layers(model, ids, counter, collect, gelu, pooled_top):
 
 
 def encode(model, ids, counter=None, collect=False, gelu=gelu_cached):
-    """The package's encode without its input checks and routing capture,
-    with the per-layer caches of a full-row pass when collect is True."""
+    """The package's encode without its input checks and routing capture:
+    (hidden, the per-layer caches of a full-row pass when collect is True)."""
     h, layer_caches = run_layers(model, ids, counter, collect, gelu, False)
-    return h.reshape(*ids.shape, model.cfg.d), layer_caches, None
+    return h.reshape(*ids.shape, model.cfg.d), layer_caches
 
 
 def classify(params, pooled):

@@ -72,21 +72,21 @@ class TestEncode:
         # same backbone weights by construction? rebuild sharing params instead
         model_sp.params = model_none.params
         ids = np.stack([tokenize("business words here", CFG)])
-        h_none, _, _ = encode(model_none, ids)
-        h_sp, _, _ = encode(model_sp, ids)
+        h_none, _ = encode(model_none, ids)
+        h_sp, _ = encode(model_sp, ids)
         assert np.max(np.abs(h_none - h_sp)) <= 1e-12
 
     def test_token_swap_changes_outputs(self):
         model = small_model(4)
-        a, _, _ = encode(model, np.array([[0, 5, 9]]))
-        b, _, _ = encode(model, np.array([[0, 9, 5]]))
+        a, _ = encode(model, np.array([[0, 5, 9]]))
+        b, _ = encode(model, np.array([[0, 9, 5]]))
         assert np.max(np.abs(a - b)) > 1e-6
 
     def test_deterministic_across_runs(self):
         model = small_model(5)
         ids = np.array([[0, 7, 11, 2]])
-        a, _, _ = encode(model, ids)
-        b, _, _ = encode(model, ids)
+        a, _ = encode(model, ids)
+        b, _ = encode(model, ids)
         assert np.array_equal(a, b)
 
     def test_rejects_overlong_and_out_of_vocab(self):
@@ -96,10 +96,19 @@ class TestEncode:
         with pytest.raises(ShapeError):
             encode(model, np.array([[0, CFG.vocab_hash_buckets]]))
 
+    def test_returns_hidden_and_routing(self):
+        model = small_model(7)
+        ids = np.stack([tokenize("a b c", CFG)])
+        result = encode(model, ids)
+        assert len(result) == 2 and result[1] is None
+        assert result[0].shape == (1, 4, CFG.d)
+        hidden, routing = encode(model, ids, capture_routing=True)
+        assert np.array_equal(hidden, result[0]) and len(routing) == CFG.layers
+
     def test_routing_capture_shape(self):
         model = small_model(7)
         ids = np.stack([tokenize("a b c", CFG), tokenize("d e f", CFG)])
-        _, _, routing = encode(model, ids, capture_routing=True)
+        _, routing = encode(model, ids, capture_routing=True)
         assert len(routing) == CFG.layers
         assert routing[0].shape == (2, 4)
         assert np.allclose(routing[0].sum(axis=1), 1.0, atol=1e-12)
@@ -221,7 +230,7 @@ class TestPooledTopLayer:
         ids = make_rng(32).integers(0, 64, size=(b, s))
         logits, state = classify_forward(model, ids, collect=True)
         # the full-row pass, with the package's gelu: float32 has only its kernel
-        hidden, bundle, _ = reference.encode(model, ids, None, True, gelu_cached)
+        hidden, bundle = reference.encode(model, ids, None, True, gelu_cached)
         full_logits = classify(model.params, hidden[:, 0])
         self.assert_close(logits, full_logits, dtype, "logits", bitwise=s == 1)
 
@@ -261,12 +270,12 @@ class TestSequencesStayIndependent:
         ids = rng.integers(0, CFG.vocab_hash_buckets, size=(3, 7))
         d_logits = rng.standard_normal((3, model.params.num_labels))
 
-        hidden, _, _ = encode(model, ids)
+        hidden, _ = encode(model, ids)
         logits, state = classify_forward(model, ids, collect=True)
         grads = classify_backward(model, state, d_logits)
         summed = {}
         for i in range(3):
-            alone, _, _ = encode(model, ids[i:i + 1])
+            alone, _ = encode(model, ids[i:i + 1])
             np.testing.assert_allclose(hidden[i], alone[0], rtol=0, atol=1e-12)
             _, state_i = classify_forward(model, ids[i:i + 1], collect=True)
             for name, g in classify_backward(model, state_i, d_logits[i:i + 1]).items():
@@ -286,8 +295,8 @@ class TestIdentityAtInit:
         base = Model(cfg, params, make_plugin("none", cfg, rng))
         plugged = Model(cfg, params, plugin)
         ids = make_rng(19).integers(0, cfg.vocab_hash_buckets, size=(8, 12))
-        h0, _, _ = encode(base, ids)
-        h1, _, _ = encode(plugged, ids)
+        h0, _ = encode(base, ids)
+        h1, _ = encode(plugged, ids)
         assert np.max(np.abs(h0 - h1)) <= 1e-12
 
 

@@ -591,7 +591,7 @@ class TestParamsCommand:
         assert report["all_task_files_bytes"] == 3 * report["task_file_bytes"]
         # the train header is the report's config echo plus cmd_train's run metadata
         assert line == json.dumps(header).encode("utf-8") + b"\n"
-        run_metadata = {"train", "plugin_kind", "num_train_examples", "data_path"}
+        run_metadata = {"train", "num_train_examples", "data_path"}
         assert set(header["config"]) == {"backbone", "plugin", "num_labels"} | run_metadata
         echo = {**header, "seed": 0, "config": {k: v for k, v in header["config"].items()
                                                   if k not in run_metadata}}
@@ -903,11 +903,14 @@ class TestConfigValidation:
         assert main(["params", "--config", str(config)]) == 0, capsys.readouterr().err
 
     def test_unknown_train_field_is_a_usage_error(self, workdir, capsys):
+        # train.seed too: the top-level seed is the run's one seed
         tmp, _, data = workdir
-        path = self._config(tmp, train={"stepz": 3})
-        assert main(["train", "--config", str(path), "--data", str(data),
-                     "--out", str(tmp / "x.json")]) == 1
-        _assert_one_line_error(capsys, "usage error", "stepz")
+        for field, value in (("stepz", 3), ("seed", 5)):
+            path = self._config(tmp, train={field: value})
+            assert main(["train", "--config", str(path), "--data", str(data),
+                         "--out", str(tmp / "x.json")]) == 1
+            _assert_one_line_error(capsys, "usage error", field)
+            assert not (tmp / "x.json").exists()
 
 
     @pytest.mark.parametrize("section, field, value", [

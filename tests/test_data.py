@@ -21,15 +21,16 @@ from spartan.numerics import ParameterError, make_rng
 def keyword_count_classify(task: SyntheticTopicTask, text: str) -> int:
     """Trivial oracle classifier: argmax of per-topic keyword overlap."""
     words = text.split()
-    scores = [sum(w in pool for w in words) for pool in task.keyword_pools]
+    scores = [sum(w in pool for w in words) for pool in default_keyword_pools(task.num_topics)]
     return int(np.argmax(scores))
 
 
 class TestSyntheticTask:
     def test_noise_free_examples_use_only_own_pool(self):
         task = SyntheticTopicTask(num_topics=3, examples_per_topic=20, noise_rate=0.0)
+        pools = default_keyword_pools(task.num_topics)
         for ex in generate_topic_dataset(task, make_rng(0)):
-            pool = set(task.keyword_pools[ex.label])
+            pool = set(pools[ex.label])
             assert all(w in pool for w in ex.text.split())
 
     def test_deterministic_under_seed(self):
@@ -47,12 +48,6 @@ class TestSyntheticTask:
         task = SyntheticTopicTask(num_topics=4, examples_per_topic=50, noise_rate=0.0)
         examples = generate_topic_dataset(task, make_rng(2))
         assert all(keyword_count_classify(task, ex.text) == ex.label for ex in examples)
-
-    def test_disjoint_pools_enforced(self):
-        with pytest.raises(ParameterError):
-            SyntheticTopicTask(num_topics=2, keyword_pools=[["a", "b"], ["b", "c"]])
-        with pytest.raises(ParameterError):
-            SyntheticTopicTask(num_topics=2, keyword_pools=[["a"], []])
 
     def test_default_pools_are_disjoint(self):
         pools = default_keyword_pools(5)
@@ -145,6 +140,16 @@ class TestFewShot:
         counts = Counter(ex.label for ex in sample)
         values = [counts.get(l, 0) for l in range(4)]
         assert max(values) - min(values) <= 1
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_uneven_labels_take_the_small_one_whole(self, seed):
+        sizes = {0: 2, 1: 10, 2: 10}
+        examples = [Example(f"text {l} {i}", l) for l, n in sizes.items() for i in range(n)]
+        sample = few_shot_sample(examples, 15, make_rng(seed))
+        assert len(sample) == 15
+        assert len({ex.text for ex in sample}) == 15
+        counts = Counter(ex.label for ex in sample)
+        assert counts[0] == 2 and abs(counts[1] - counts[2]) <= 1
 
     def test_no_replacement(self):
         examples = self._balanced(per_label=10, labels=2)

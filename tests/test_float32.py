@@ -108,7 +108,7 @@ def test_encode_and_classify_backward_stay_float32(architecture):
     rng = make_rng(5)
     model = bench_mod.build_bench_model(cfg, rng)
     ids = rng.integers(0, cfg.vocab_hash_buckets, size=(cfg.batch_size, cfg.seq_len))
-    hidden, _, _ = encode(model, ids)
+    hidden, _ = encode(model, ids)
     assert hidden.dtype == F32
     logits, state = classify_forward(model, ids, collect=True)
     _, d_logits = cross_entropy_batch(logits, np.array([0, 1, 0]))

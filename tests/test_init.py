@@ -19,7 +19,7 @@ from spartan.backbone import (
     plugin_slots,
 )
 from spartan.memory import SpartanConfig, init_params
-from spartan.numerics import make_rng
+from spartan.numerics import init_tensors, make_rng
 
 BACKBONES = (
     BackboneConfig(d=16, layers=2, heads=2, ffn_dim=24, vocab_hash_buckets=64, max_seq_len=12),
@@ -81,3 +81,15 @@ def test_bench_build_matches_hand_written_init(arch, precision):
     want = reference.bench_plugin_spec(cfg, 3, make_rng(6))
     assert_bitwise_equal([(n, getattr(o, f)) for n, o, f, _ in plugin_slots(spec)],
                          cast((n, getattr(o, f)) for n, o, f, _ in plugin_slots(want)))
+
+
+def test_fixed_seed_reproduces_sequence():
+    schema = (("a", (4, 25), 1.0), ("b", (3,), "zeros"), ("c", (100,), 1.0))
+    first, again = init_tensors(schema, make_rng(42)), init_tensors(schema, make_rng(42))
+    assert_bitwise_equal(list(first.items()), list(again.items()))
+
+
+def test_moments_match_law_of_large_numbers():
+    draws = init_tensors((("w", (100, 1000), 1.0),), make_rng(7))["w"]
+    assert abs(draws.mean()) <= 0.02
+    assert abs(draws.std() - 1.0) <= 0.02

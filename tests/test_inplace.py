@@ -178,10 +178,10 @@ class TestBackboneSteps:
 def test_encode_classify_and_backward(kind, dtype, b):
     model = small_model(kind, dtype)
     ids = make_rng(5).integers(0, model.cfg.vocab_hash_buckets, size=(b, 5))
-    hidden, bundle, _ = call_untouched(backbone.encode, model, ids)
-    want_hidden, _, _ = reference.encode(model, ids, None, False, package_gelu(dtype))
+    hidden, routing = call_untouched(backbone.encode, model, ids)
+    want_hidden, _ = reference.encode(model, ids, None, False, package_gelu(dtype))
     assert_bitwise(hidden, want_hidden)
-    assert bundle is None
+    assert routing is None
     # a second call writes into nothing the first one returned
     call_untouched(backbone.encode, model, ids, earlier=(hidden,))
 

@@ -16,7 +16,6 @@ from spartan.numerics import (
     gelu_grad_cached,
     layer_norm,
     make_rng,
-    sample_gaussian,
     softmax_rows,
     topk_rows,
 )
@@ -165,27 +164,6 @@ class TestTopK:
         rows = topk_rows(x, k)
         for i in range(len(x)):
             assert rows[i].tolist() == reference.topk_indices(x[i], k).tolist(), i
-
-
-class TestRng:
-    def test_zero_stddev_gives_zeros(self):
-        assert np.array_equal(sample_gaussian(make_rng(0), 3, 0.0), np.zeros(3))
-
-    def test_fixed_seed_reproduces_sequence(self):
-        a = sample_gaussian(make_rng(42), 100, 1.0)
-        b = sample_gaussian(make_rng(42), 100, 1.0)
-        assert np.array_equal(a, b)
-
-    def test_moments_match_law_of_large_numbers(self):
-        draws = sample_gaussian(make_rng(7), 10**5, 1.0)
-        assert abs(draws.mean()) <= 0.02
-        assert abs(draws.std() - 1.0) <= 0.02
-
-    def test_invalid_args(self):
-        with pytest.raises(ParameterError):
-            sample_gaussian(make_rng(0), 0, 1.0)
-        with pytest.raises(ParameterError):
-            sample_gaussian(make_rng(0), 3, -1.0)
 
 
 class TestNeuralOps:

@@ -1,4 +1,5 @@
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,13 +10,7 @@ from spartan.backbone import BackboneConfig, Model, init_backbone, make_plugin
 from spartan.checkpoint import save_checkpoint
 from spartan.memory import SpartanConfig
 from spartan.numerics import ParameterError, make_rng
-from spartan.params import (
-    build_report,
-    render_table,
-    report_to_dict,
-    spartan_formula_added,
-    spartan_formula_total,
-)
+from spartan.params import build_report, render_table, spartan_formula_total
 
 PAPER_BACKBONE = BackboneConfig(d=768, layers=12, heads=12, ffn_dim=3072,
                                 vocab_hash_buckets=2048, max_seq_len=128)
@@ -36,7 +31,7 @@ def build_model(kind, seed=0, cfg=DESK, num_labels=3):
 class TestClosedForm:
     def test_added_term_at_nine_tasks(self):
         # 2 * 9 * (16 + 16*3) * 768 * 12
-        assert spartan_formula_added(9, 16, 3, 768, 12) == 10_616_832
+        assert spartan_formula_total(0, 9, 16, 3, 768, 12) == 10_616_832
 
     def test_minimal_case(self):
         assert spartan_formula_total(0, 1, 1, 1, 1, 1) == 4
@@ -56,7 +51,7 @@ class TestEnumeration:
         report = build_report(PAPER_BACKBONE, 2, "spartan", spartan_cfg=PAPER_SPARTAN)
         assert report.added_params_per_task == (16 + 2 * 16 * 3) * 768 * 12 == 1_032_192
         # the closed form's per-task value differs: factor 2 on the parent term
-        assert spartan_formula_added(1, 16, 3, 768, 12) == 1_179_648
+        assert spartan_formula_total(0, 1, 16, 3, 768, 12) == 1_179_648
 
     def test_adapter_per_task_additions_at_paper_shapes(self):
         report = build_report(PAPER_BACKBONE, 2, "adapter",
@@ -140,7 +135,7 @@ class TestReport:
         report = build_report(DESK, 3, "spartan", tasks=1,
                               spartan_cfg=SpartanConfig(d=32, num_parents=4,
                                                         children_per_parent=2, top_k=2))
-        payload = report_to_dict(report)
+        payload = asdict(report)
         assert payload["total_enumerated"] == report.total_enumerated
         assert payload["formula_gap_fraction"] == report.formula_gap_fraction
 
@@ -171,7 +166,7 @@ class TestStorage:
         assert report.all_task_files_bytes == 3 * size
 
     def test_json_carries_the_byte_figures(self):
-        payload = report_to_dict(build_report(DESK, 3, "adapter", tasks=4, adapter_cfg=DESK_ADAPTER))
+        payload = asdict(build_report(DESK, 3, "adapter", tasks=4, adapter_cfg=DESK_ADAPTER))
         for key in ("body_bytes", "header_bytes", "task_file_bytes", "all_task_files_bytes"):
             assert isinstance(payload[key], int) and payload[key] > 0
         assert payload["all_task_files_bytes"] == 4 * payload["task_file_bytes"]
