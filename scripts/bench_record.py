@@ -11,9 +11,9 @@ Each run is `python3 perfbench/run.py --workload W --seed S --seconds N
 values, checks, environment, span summary) is read back from
 `perfbench/results/W-seedS-traceT.json`. Runs go seed by seed and, within a
 seed, workload by workload, untraced then traced. The file holds the
-checkout's `git rev-parse HEAD`, whether its tracked files differed from it,
-the command line and the records. Compare two files with
-scripts/bench_compare.py.
+checkout's `git rev-parse HEAD`, whether its tracked files differed from it
+(both null outside a git repository), the command line and the records.
+Compare two files with scripts/bench_compare.py.
 """
 
 import argparse
@@ -31,9 +31,13 @@ def workload_names(root: Path) -> list:
     return [w["name"] for w in spec["workloads"]]
 
 
-def git(root: Path, *args) -> str:
-    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
-                          check=True).stdout.strip()
+def git(root: Path, *args) -> str | None:
+    """git's output in root; None where git is missing or finds no repository."""
+    try:
+        return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -58,9 +62,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     root = args.root.resolve()
 
+    status = git(root, "status", "--porcelain", "--untracked-files=no")
     record = {
         "commit": git(root, "rev-parse", "HEAD"),
-        "dirty": bool(git(root, "status", "--porcelain", "--untracked-files=no")),
+        "dirty": None if status is None else bool(status),
         "command": shlex.join(["python", "scripts/bench_record.py",
                                *(sys.argv[1:] if argv is None else argv)]),
         "runs": [],

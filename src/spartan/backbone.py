@@ -188,10 +188,11 @@ def build_config(cls, given, section: str, **fixed):
 
 
 def decode_config(conf: dict) -> tuple:
-    """(BackboneConfig, kind, plugin config or None) of a run config or a
-    checkpoint's config echo: the one reader of `backbone` and `plugin`. A
-    stray or wrong-typed field, an unknown kind or a plugin d other than the
-    backbone's raises UsageError."""
+    """(BackboneConfig, kind, plugin config or None, num_labels or None) of a
+    run config or a checkpoint's config echo: the one reader of `backbone`,
+    `plugin` and `num_labels`. A stray or wrong-typed field, an unknown kind
+    or a plugin d other than the backbone's raises UsageError; a num_labels
+    that is neither null nor an integer >= 2 raises ParameterError."""
     backbone = build_config(BackboneConfig, conf["backbone"], "backbone")
     given = dict(conf["plugin"])
     kind = given.pop("kind")
@@ -200,7 +201,10 @@ def decode_config(conf: dict) -> tuple:
     d = given.pop("d", backbone.d)
     if d != backbone.d:
         raise UsageError(f"plugin d={d} does not match backbone d={backbone.d}")
-    return backbone, kind, build_config(PLUGINS[kind].config, given, f"{kind} plugin", d=d)
+    if conf["num_labels"] is not None:
+        check_counts(conf, num_labels=2)
+    return (backbone, kind, build_config(PLUGINS[kind].config, given, f"{kind} plugin", d=d),
+            conf["num_labels"])
 
 
 @dataclass

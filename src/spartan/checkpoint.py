@@ -99,12 +99,12 @@ def load_checkpoint(path):
         if header.get("format_version") != FORMAT_VERSION:
             raise DataError(f"unsupported checkpoint format version {header.get('format_version')}")
         try:
-            backbone_cfg, kind, plugin_cfg = decode_config(header["config"])
+            backbone_cfg, kind, plugin_cfg, num_labels = decode_config(header["config"])
             got = header["tensors"] if isinstance(header["tensors"], list) else []
             layers = backbone_cfg.layers  # the one count that multiplies the shape model's views
             if len(got) < len(LayerWeights.shapes(backbone_cfg)) * layers:
                 raise ValueError(f"{layers} layers need more tensors than the header's {len(got)}")
-            model = empty_model(backbone_cfg, header["config"]["num_labels"], kind, plugin_cfg)
+            model = empty_model(backbone_cfg, num_labels, kind, plugin_cfg)
             meta = {key: header[key] for key in ("seed", "label_manifest", "config")}
         except KeyError as exc:
             raise DataError(f"checkpoint {path}: missing key {exc}") from exc

@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis as analysis_mod
 from . import bench as bench_mod
 from . import params as params_mod
-from .backbone import BackboneConfig, Model, build_config, decode_config, init_backbone, make_plugin
+from .backbone import Model, build_config, decode_config, init_backbone, make_plugin
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import DataError, few_shot_sample, load_jsonl, load_label_manifest
 from .numerics import ParameterError, ShapeError, UsageError, check_counts, make_rng
@@ -43,7 +43,7 @@ def load_run_config(path: str | None) -> dict:
     if path is None:
         return conf
     p = Path(path)
-    if not p.exists():
+    if not p.is_file():  # a directory too: open() would raise IsADirectoryError
         raise UsageError(f"config file not found: {p}")
     try:
         with open(p, encoding="utf-8") as fh:
@@ -65,12 +65,21 @@ def load_run_config(path: str | None) -> dict:
     return conf
 
 
-def _num_labels(conf: dict, default: int | None) -> int | None:
-    """The config's num_labels, or default when it is null."""
-    if conf["num_labels"] is None:
-        return default
-    check_counts(conf, num_labels=2)
-    return conf["num_labels"]
+def decode_run_config(conf: dict) -> tuple:
+    """(seed, TrainConfig, *decode_config(conf)) of a loaded run config. It
+    checks every rule of a run config; `train` and `params` call it before
+    any other work, so both refuse the same files with the same exit code.
+    train.seed is a usage error: the top-level seed is the run's one seed."""
+    check_counts(conf, seed=0)
+    tcfg = build_config(TrainConfig, conf["train"], "train", seed=conf["seed"])
+    return (conf["seed"], tcfg, *decode_config(conf))
+
+
+def _output_path(value: str) -> str:
+    """An output flag's value, checked as flags are parsed: its directory exists."""
+    if not (parent := Path(value).parent).is_dir():
+        raise argparse.ArgumentTypeError(f"directory {parent} does not exist")
+    return value
 
 
 def _check_labels(examples, num_labels: int, path) -> None:
@@ -86,32 +95,26 @@ def cmd_train(args) -> int:
     conf = load_run_config(args.config)
     if args.seed is not None:
         conf["seed"] = args.seed
-    check_counts(conf, seed=0)
-    seed = conf["seed"]
+    for field, flag in (("learning_rate", args.lr), ("steps", args.steps)):
+        if flag is not None:
+            conf["train"][field] = flag
+    seed, tcfg, backbone_cfg, kind, plugin_cfg, num_labels = decode_run_config(conf)
+    if args.few_shot is not None and args.steps is None:
+        tcfg = replace(tcfg, steps=tcfg.few_shot_steps)
 
     manifest = load_label_manifest(args.data)
     examples = load_jsonl(args.data, label_map=manifest)
-    num_labels = _num_labels(conf, max((ex.label for ex in examples), default=0) + 1)
+    if num_labels is None:
+        num_labels = max((ex.label for ex in examples), default=0) + 1
     _check_labels(examples, num_labels, args.data)
-
-    backbone_cfg, kind, plugin_cfg = decode_config(conf)
 
     rng = make_rng(seed)
     params = init_backbone(backbone_cfg, num_labels, rng)
     model = Model(backbone_cfg, params, make_plugin(kind, backbone_cfg, rng, plugin_cfg))
 
-    train_conf = dict(conf["train"])
-    if args.lr is not None:
-        train_conf["learning_rate"] = args.lr
-    tcfg = build_config(TrainConfig, train_conf, "train", seed=seed)  # train.seed is a usage error
-
     train_set = examples
     if args.few_shot is not None:
         train_set = few_shot_sample(examples, args.few_shot, make_rng(seed))
-        if args.steps is None:
-            tcfg = replace(tcfg, steps=tcfg.few_shot_steps)
-    if args.steps is not None:
-        tcfg = replace(tcfg, steps=args.steps)  # replace() re-runs the range checks
 
     result = train(model, train_set, tcfg)
 
@@ -188,18 +191,13 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_params(args) -> int:
-    if args.config:
-        conf = load_run_config(args.config)
-        backbone_cfg, kind, plugin_cfg = decode_config(conf)
-        num_labels = _num_labels(conf, None)
-    else:
-        # full-size comparison shapes, matching the benchmark defaults
+    conf = load_run_config(args.config)
+    if args.config is None:  # full-size comparison shapes, matching the benchmark defaults
         bdefault = bench_mod.BenchConfig()
-        backbone_cfg = BackboneConfig(d=bdefault.d, layers=bdefault.layers, heads=bdefault.heads,
-                                      ffn_dim=bdefault.ffn_dim,
-                                      vocab_hash_buckets=bdefault.vocab_hash_buckets,
-                                      max_seq_len=128)
-        kind, plugin_cfg, num_labels = "spartan", None, None
+        conf["backbone"] = {name: getattr(bdefault, name) for name in
+                            ("d", "layers", "heads", "ffn_dim", "vocab_hash_buckets")}
+        conf["backbone"]["max_seq_len"] = 128
+    _, _, backbone_cfg, kind, plugin_cfg, num_labels = decode_run_config(conf)
     report = params_mod.build_report(backbone_cfg, num_labels, kind, args.tasks, plugin_cfg)
     print(params_mod.render_table(report))
     if args.out:
@@ -217,8 +215,9 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="fine-tune plugin + head on JSONL data")
     p_train.add_argument("--config", default=None, help="JSON run config")
     p_train.add_argument("--data", required=True, help="training JSONL")
-    p_train.add_argument("--out", required=True, help="checkpoint path")
-    p_train.add_argument("--metrics", default=None, help="metrics CSV path (default: <out>.metrics.csv)")
+    p_train.add_argument("--out", required=True, type=_output_path, help="checkpoint path")
+    p_train.add_argument("--metrics", type=_output_path,
+                         help="metrics CSV path (default: <out>.metrics.csv)")
     p_train.add_argument("--few-shot", type=int, default=None, metavar="N",
                          help="train on a stratified sample of N instances")
     p_train.add_argument("--steps", type=int, default=None)
@@ -229,7 +228,7 @@ def build_parser() -> _Parser:
     p_eval = sub.add_parser("eval", help="accuracy of a checkpoint on JSONL data")
     p_eval.add_argument("--model", required=True)
     p_eval.add_argument("--data", required=True)
-    p_eval.add_argument("--out", default=None, help="optional JSON output path")
+    p_eval.add_argument("--out", default=None, type=_output_path, help="optional JSON output path")
     p_eval.set_defaults(func=cmd_eval)
 
     p_bench = sub.add_parser("bench", help="throughput benchmarks")
@@ -240,32 +239,27 @@ def build_parser() -> _Parser:
         default = getattr(bdefault, field)
         p_bench.add_argument("--" + dest.replace("_", "-"), type=type(default), default=default,
                              choices=choices.get(dest))
-    p_bench.add_argument("--out", default="bench_report", help="output prefix")
+    p_bench.add_argument("--out", default="bench_report", type=_output_path, help="output prefix")
     p_bench.set_defaults(func=cmd_bench)
 
     p_an = sub.add_parser("analyze", help="parent-specialization analysis")
     p_an.add_argument("--model", required=True)
     p_an.add_argument("--data", required=True)
     p_an.add_argument("--layer", default="last", help='layer index or "last"')
-    p_an.add_argument("--out", required=True, help="output prefix for .csv and .json")
+    p_an.add_argument("--out", required=True, type=_output_path, help="prefix of .csv and .json")
     p_an.set_defaults(func=cmd_analyze)
 
     p_par = sub.add_parser("params", help="parameter accounting report")
     p_par.add_argument("--config", default=None, help="JSON run config (default: full-size shapes)")
     p_par.add_argument("--tasks", type=int, default=1)
-    p_par.add_argument("--out", default=None, help="optional JSON output path")
+    p_par.add_argument("--out", default=None, type=_output_path, help="optional JSON output path")
     p_par.set_defaults(func=cmd_params)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)  # a bad flag raises UsageError
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

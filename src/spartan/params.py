@@ -49,17 +49,18 @@ def spartan_formula_total(n_base: int, t: int, p: int, c: int, d: int, l: int) -
 
 
 def build_report(cfg: BackboneConfig, num_labels: int | None, plugin_kind: str, tasks: int = 1,
-                 spartan_cfg=None, adapter_cfg=None) -> ParamReport:
+                 plugin_cfg=None) -> ParamReport:
     """Multi-task accounting: one frozen backbone serves `tasks` plugin copies.
 
     The per-task additions scale the plugin tensors only; the task head is
     reported on its own line so the plugin count stays comparable across
     architectures. The byte figures are those of the checkpoint files. A
-    num_labels of None is counted as 2 labels, and the report says so.
+    num_labels of None is counted as 2 labels, and the report says so. A
+    plugin_cfg of None counts the kind's default config at width cfg.d.
     """
     if tasks < 1:
         raise ParameterError(f"tasks must be >= 1, got {tasks}")
-    pcfg = plugin_config(plugin_kind, cfg.d, spartan_cfg, adapter_cfg)
+    pcfg = plugin_config(plugin_kind, cfg.d, plugin_cfg)
     model = empty_model(cfg, 2 if num_labels is None else num_labels, plugin_kind, pcfg)
     backbone = added = head = 0
     for name, arr, trainable in iter_named_tensors(model):

@@ -287,7 +287,7 @@ def test_criterion_09_parameter_accounting():
         backbone = BackboneConfig(d=768, layers=12, heads=12, ffn_dim=3072,
                                   vocab_hash_buckets=2048, max_seq_len=128)
         scfg = SpartanConfig(d=768, num_parents=16, children_per_parent=3, top_k=8)
-        report = params_mod.build_report(backbone, 2, "spartan", tasks=9, spartan_cfg=scfg)
+        report = params_mod.build_report(backbone, 2, "spartan", tasks=9, plugin_cfg=scfg)
         assert report.added_params_per_task == 1_032_192
         assert report.formula_added_per_task == 1_179_648
         table = params_mod.render_table(report)
@@ -295,8 +295,8 @@ def test_criterion_09_parameter_accounting():
         assert "closed form vs enumeration" in table
 
         acfg = AdapterConfig(d=768, bottleneck=64)
-        single = params_mod.build_report(backbone, 2, "adapter", adapter_cfg=acfg)
-        double = params_mod.build_report(backbone, 2, "adapterx2", adapter_cfg=acfg)
+        single = params_mod.build_report(backbone, 2, "adapter", plugin_cfg=acfg)
+        double = params_mod.build_report(backbone, 2, "adapterx2", plugin_cfg=acfg)
         assert double.added_params_per_task == 2 * single.added_params_per_task
         assert single.added_params_per_task // backbone.layers == 100_672
         elapsed = time.perf_counter() - start

@@ -137,7 +137,9 @@ class TestCheckpoint:
         save_checkpoint(path, model, seed=5)
         with open(path, "rb") as fh:
             header_line = fh.readline()
-        report = params_mod.build_report(model.cfg, 3, kind, spartan_cfg=RANDOM_MODEL_MEMORY)
+        stack = model.plugin.layers[0]  # the config the model was built with
+        report = params_mod.build_report(model.cfg, 3, kind,
+                                         plugin_cfg=stack[0].cfg if stack else None)
         scalars = report.backbone_params + report.added_params_per_task + report.head_params
         assert path.stat().st_size == len(header_line) + 8 * scalars
 
@@ -873,27 +875,50 @@ class TestCheckpointLoaderErrors:
         header, _ = read_checkpoint_file(tmp_path / "m.ckpt")
         stack = model.plugin.layers[0]
         assert decode_config(header["config"]) == (model.cfg, kind,
-                                                   stack[0].cfg if stack else None)
+                                                   stack[0].cfg if stack else None, 3)
 
 
 
 class TestConfigValidation:
+    """`train` and `params` decode a run config alike, and `train` refuses one
+    before it reads data or draws a model."""
+
     def _config(self, tmp, **sections):
         conf = {**TINY_CONFIG, **sections}
         path = tmp / "conf.json"
         path.write_text(json.dumps(conf))
         return path
 
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        """Reading data or drawing a backbone fails the test."""
+        def called(*args, **kwargs):
+            raise AssertionError("a refused run config reached data or the model")
+        for name in ("load_label_manifest", "load_jsonl", "init_backbone"):
+            monkeypatch.setattr(cli, name, called)
+
+    def _refused_by_both(self, capsys, path, tmp, data, *words):
+        """`train` and `params` each exit 1 on the config at path, one line naming words."""
+        for argv in (["train", "--config", str(path), "--data", str(data),
+                      "--out", str(tmp / "x.json")], ["params", "--config", str(path)]):
+            assert main(argv) == 1, argv[0]
+            _assert_one_line_error(capsys, *words)
+        assert not (tmp / "x.json").exists()
+
     @pytest.mark.parametrize("section, value, word", [
         ("backbone", {"bogus": 1}, "bogus"),
         ("plugin", {"kind": "adapter", "top_k": 2}, "top_k"),
         ("plugin", 5, "plugin section"),
     ])
-    def test_bad_section_is_a_usage_error(self, workdir, capsys, section, value, word):
-        tmp, _, _ = workdir
+    def test_bad_section_is_a_usage_error(self, workdir, capsys, no_work, section, value, word):
+        tmp, _, data = workdir
         path = self._config(tmp, **{section: value})
-        assert main(["params", "--config", str(path)]) == 1
-        _assert_one_line_error(capsys, "usage error", word)
+        self._refused_by_both(capsys, path, tmp, data, "usage error", word)
+
+    @pytest.mark.parametrize("name", ["absent.json", "."], ids=["absent", "directory"])
+    def test_config_path_that_is_no_file_is_a_usage_error(self, workdir, capsys, no_work, name):
+        tmp, _, data = workdir
+        self._refused_by_both(capsys, tmp / name, tmp, data, "usage error", "config file not found")
 
     def test_readme_schema_block_is_accepted_verbatim(self, tmp_path, capsys):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -902,16 +927,27 @@ class TestConfigValidation:
         config.write_text(block.split("```", 1)[0])
         assert main(["params", "--config", str(config)]) == 0, capsys.readouterr().err
 
-    def test_unknown_train_field_is_a_usage_error(self, workdir, capsys):
+    def test_unknown_train_field_is_a_usage_error(self, workdir, capsys, no_work):
         # train.seed too: the top-level seed is the run's one seed
         tmp, _, data = workdir
-        for field, value in (("stepz", 3), ("seed", 5)):
+        for field, value in (("bogus", 1), ("seed", 5)):
             path = self._config(tmp, train={field: value})
-            assert main(["train", "--config", str(path), "--data", str(data),
-                         "--out", str(tmp / "x.json")]) == 1
-            _assert_one_line_error(capsys, "usage error", field)
-            assert not (tmp / "x.json").exists()
+            self._refused_by_both(capsys, path, tmp, data, "usage error", field)
 
+    def test_config_error_takes_precedence_over_a_missing_data_file(self, workdir, capsys):
+        tmp, _, _ = workdir
+        path = self._config(tmp, train={"bogus": 1})
+        assert main(["train", "--config", str(path), "--data", str(tmp / "absent.jsonl"),
+                     "--out", str(tmp / "x.json")]) == 1
+        _assert_one_line_error(capsys, "usage error", "bogus")
+
+    @pytest.mark.parametrize("field, value", [
+        ("seed", -3), ("seed", 1.0), ("num_labels", 1), ("num_labels", True),
+    ])
+    def test_bad_top_level_count_is_a_config_error(self, workdir, capsys, no_work, field, value):
+        tmp, _, data = workdir
+        path = self._config(tmp, **{field: value})
+        self._refused_by_both(capsys, path, tmp, data, "config error", field)
 
     @pytest.mark.parametrize("section, field, value", [
         ("backbone", "heads", -1), ("backbone", "heads", 0), ("backbone", "heads", True),
@@ -919,20 +955,52 @@ class TestConfigValidation:
         ("plugin", "num_parents", 4.0), ("plugin", "children_per_parent", 1.5),
         ("train", "batch_size", 2.5),
     ])
-    def test_count_must_be_a_positive_integer(self, workdir, capsys, section, field, value):
+    def test_count_must_be_a_positive_integer(self, workdir, capsys, no_work, section, field,
+                                              value):
         tmp, _, data = workdir
         path = self._config(tmp, **{section: {**TINY_CONFIG[section], field: value}})
-        assert main(["train", "--config", str(path), "--data", str(data),
-                     "--out", str(tmp / "x.json")]) == 1
-        _assert_one_line_error(capsys, "config error", field)
-        assert not (tmp / "x.json").exists()
+        self._refused_by_both(capsys, path, tmp, data, "config error", field)
 
-    def test_negative_steps_flag_is_rejected(self, workdir, capsys):
+    def test_negative_steps_flag_is_rejected(self, workdir, capsys, no_work):
         tmp, config, data = workdir
         assert main(["train", "--config", str(config), "--data", str(data),
                      "--out", str(tmp / "x.json"), "--steps", "-1"]) == 1
         _assert_one_line_error(capsys, "steps")
         assert not (tmp / "x.json").exists()
+
+
+class TestOutputPaths:
+    """An output flag whose directory is missing is a usage error when flags
+    are parsed: nothing is read, trained or written first."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--out", "{missing}/m.ckpt"]),
+        ("train", ["--out", "{tmp}/m.ckpt", "--metrics", "{missing}/m.csv"]),
+        ("eval", ["--out", "{missing}/e.json"]),
+        ("bench", ["--out", "{missing}/b"]),
+        ("analyze", ["--out", "{missing}/a"]),
+        ("params", ["--out", "{missing}/p.json"]),
+    ], ids=["train-out", "train-metrics", "eval", "bench", "analyze", "params"])
+    def test_missing_directory_exits_1_before_any_work(self, workdir, capsys, monkeypatch,
+                                                       command, flags):
+        tmp, config, data = workdir
+
+        def called(*args, **kwargs):
+            raise AssertionError("ran past a missing output directory")
+        for name in ("train", "load_jsonl", "load_checkpoint"):
+            monkeypatch.setattr(cli, name, called)
+        monkeypatch.setattr(bench_mod, "RUNNERS", dict.fromkeys(bench_mod.MODES, called))
+        inputs = {"train": ["--config", str(config), "--data", str(data)],
+                  "eval": ["--model", str(tmp / "m.ckpt"), "--data", str(data)],
+                  "analyze": ["--model", str(tmp / "m.ckpt"), "--data", str(data)]}
+        missing = tmp / "no" / "such"
+        argv = [command, *inputs.get(command, []),
+                *(f.format(missing=missing, tmp=tmp) for f in flags)]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1, err
+        assert err.startswith("usage error") and str(missing) in err, err
+        assert sorted(p.name for p in tmp.iterdir()) == ["config.json", "train.jsonl"]
 
 
 class TestLabelRange:

@@ -19,6 +19,8 @@ PAPER_SPARTAN = SpartanConfig(d=768, num_parents=16, children_per_parent=3, top_
 DESK = BackboneConfig(d=32, layers=3, heads=2, ffn_dim=48, vocab_hash_buckets=128, max_seq_len=8)
 DESK_SPARTAN = SpartanConfig(d=32, num_parents=4, children_per_parent=2, top_k=2)
 DESK_ADAPTER = AdapterConfig(d=32, bottleneck=8)
+DESK_PLUGIN = {"none": None, "spartan": DESK_SPARTAN, "adapter": DESK_ADAPTER,
+               "adapterx2": DESK_ADAPTER}  # the config that fits each kind
 
 
 def build_model(kind, seed=0, cfg=DESK, num_labels=3):
@@ -48,14 +50,14 @@ class TestClosedForm:
 
 class TestEnumeration:
     def test_spartan_per_task_additions_at_paper_shapes(self):
-        report = build_report(PAPER_BACKBONE, 2, "spartan", spartan_cfg=PAPER_SPARTAN)
+        report = build_report(PAPER_BACKBONE, 2, "spartan", plugin_cfg=PAPER_SPARTAN)
         assert report.added_params_per_task == (16 + 2 * 16 * 3) * 768 * 12 == 1_032_192
         # the closed form's per-task value differs: factor 2 on the parent term
         assert spartan_formula_total(0, 1, 16, 3, 768, 12) == 1_179_648
 
     def test_adapter_per_task_additions_at_paper_shapes(self):
         report = build_report(PAPER_BACKBONE, 2, "adapter",
-                              adapter_cfg=AdapterConfig(d=768, bottleneck=64))
+                              plugin_cfg=AdapterConfig(d=768, bottleneck=64))
         assert report.added_params_per_task == 12 * 100_672 == 1_208_064
 
     def test_no_plugin_adds_head_only(self):
@@ -68,7 +70,7 @@ class TestEnumeration:
         for kind in ("none", "spartan", "adapter", "adapterx2"):
             model = build_model(kind)
             real = reference.enumerate_params(model)
-            report = build_report(DESK, 3, kind, spartan_cfg=DESK_SPARTAN, adapter_cfg=DESK_ADAPTER)
+            report = build_report(DESK, 3, kind, plugin_cfg=DESK_PLUGIN[kind])
             assert real["frozen"] == report.backbone_params
             assert real["plugin"] == report.added_params_per_task
             assert real["head"] == report.head_params
@@ -91,14 +93,14 @@ class TestEnumeration:
             assert counts["plugin"] + counts["head"] == counts["trainable"]
 
     def test_two_stacked_adapters_double_single_exactly(self):
-        single = build_report(DESK, 3, "adapter", adapter_cfg=DESK_ADAPTER)
-        double = build_report(DESK, 3, "adapterx2", adapter_cfg=DESK_ADAPTER)
+        single = build_report(DESK, 3, "adapter", plugin_cfg=DESK_ADAPTER)
+        double = build_report(DESK, 3, "adapterx2", plugin_cfg=DESK_ADAPTER)
         assert double.added_params_per_task == 2 * single.added_params_per_task
 
 
 class TestReport:
     def test_multi_task_projection_invariant(self):
-        report = build_report(PAPER_BACKBONE, 2, "spartan", tasks=9, spartan_cfg=PAPER_SPARTAN)
+        report = build_report(PAPER_BACKBONE, 2, "spartan", tasks=9, plugin_cfg=PAPER_SPARTAN)
         assert report.total_enumerated == report.backbone_params + 9 * report.added_params_per_task
         assert report.added_params_per_task == 1_032_192
         assert report.formula_added_per_task == 1_179_648
@@ -107,19 +109,19 @@ class TestReport:
             (1_179_648 - 1_032_192) / 1_032_192)
 
     def test_table_rows_are_in_order(self):
-        report = build_report(PAPER_BACKBONE, 2, "spartan", tasks=9, spartan_cfg=PAPER_SPARTAN)
+        report = build_report(PAPER_BACKBONE, 2, "spartan", tasks=9, plugin_cfg=PAPER_SPARTAN)
         labels = [line.split("  ")[0] for line in render_table(report).splitlines()]
         assert labels == [
             "plugin kind", "backbone (frozen)", "added per task (plugin, enumerated)",
             "added per task (closed form)", "task head (reported separately)", "tasks",
             "total, enumerated", "total, closed form", "checkpoint body", "checkpoint header",
             "one task file", "9 task file(s)", "closed form vs enumeration"]
-        adapter = build_report(DESK, 3, "adapter", tasks=2, adapter_cfg=DESK_ADAPTER)
+        adapter = build_report(DESK, 3, "adapter", tasks=2, plugin_cfg=DESK_ADAPTER)
         labels = [line.split("  ")[0] for line in render_table(adapter).splitlines()]
         assert "closed form vs enumeration" not in labels and labels[-1] == "2 task file(s)"
 
     def test_table_shows_both_counts_and_flags_gap(self):
-        report = build_report(PAPER_BACKBONE, 2, "spartan", tasks=9, spartan_cfg=PAPER_SPARTAN)
+        report = build_report(PAPER_BACKBONE, 2, "spartan", tasks=9, plugin_cfg=PAPER_SPARTAN)
         table = render_table(report)
         assert "1,032,192" in table
         assert "1,179,648" in table
@@ -127,14 +129,14 @@ class TestReport:
 
     def test_adapter_report_has_no_closed_form(self):
         report = build_report(DESK, 3, "adapter", tasks=2,
-                              adapter_cfg=AdapterConfig(d=32, bottleneck=8))
+                              plugin_cfg=AdapterConfig(d=32, bottleneck=8))
         assert report.total_formula is None
         assert "closed form" not in render_table(report)
 
     def test_json_round_trips_fields(self):
         report = build_report(DESK, 3, "spartan", tasks=1,
-                              spartan_cfg=SpartanConfig(d=32, num_parents=4,
-                                                        children_per_parent=2, top_k=2))
+                              plugin_cfg=SpartanConfig(d=32, num_parents=4,
+                                                       children_per_parent=2, top_k=2))
         payload = asdict(report)
         assert payload["total_enumerated"] == report.total_enumerated
         assert payload["formula_gap_fraction"] == report.formula_gap_fraction
@@ -158,15 +160,14 @@ class TestStorage:
         with open(path, "rb") as fh:
             first_line = fh.readline()
         size = os.path.getsize(path)
-        report = build_report(DESK, 3, kind, tasks=3,
-                              spartan_cfg=DESK_SPARTAN, adapter_cfg=DESK_ADAPTER)
+        report = build_report(DESK, 3, kind, tasks=3, plugin_cfg=DESK_PLUGIN[kind])
         assert report.header_bytes == len(first_line)
         assert report.body_bytes == size - len(first_line)
         assert report.task_file_bytes == size
         assert report.all_task_files_bytes == 3 * size
 
     def test_json_carries_the_byte_figures(self):
-        payload = asdict(build_report(DESK, 3, "adapter", tasks=4, adapter_cfg=DESK_ADAPTER))
+        payload = asdict(build_report(DESK, 3, "adapter", tasks=4, plugin_cfg=DESK_ADAPTER))
         for key in ("body_bytes", "header_bytes", "task_file_bytes", "all_task_files_bytes"):
             assert isinstance(payload[key], int) and payload[key] > 0
         assert payload["all_task_files_bytes"] == 4 * payload["task_file_bytes"]

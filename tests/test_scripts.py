@@ -1,9 +1,9 @@
 """Smoke tests: each script in scripts/ runs to exit 0 in a fresh interpreter."""
 
 import csv
+import importlib.util
 import json
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,11 +56,23 @@ def test_throughput_sweep_measures_every_arm_at_toy_shapes(tmp_path):
                    bottleneck=int(row["bottleneck"])) for row in rows]
 
 
+def git_head(root):
+    """`git rev-parse HEAD` in root; None where git is missing or finds no repository."""
+    try:
+        run = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True,
+                             text=True)
+    except OSError:
+        return None
+    return run.stdout.strip() if run.returncode == 0 else None
+
+
 def test_bench_record_writes_one_file_that_bench_compare_reads(tmp_path):
     run_script("bench_record.py", "--out", "bench.json", "--seconds", "1",
                "--workloads", "encode-f32", cwd=tmp_path)
     record = json.loads((tmp_path / "bench.json").read_text())
-    assert re.fullmatch(r"[0-9a-f]{40}", record["commit"])
+    head = git_head(SCRIPTS.parent)
+    assert record["commit"] == head
+    assert (record["dirty"] is None) == (head is None)
     assert "--workloads encode-f32" in record["command"]
     assert [(run["workload"], run["trace"]) for run in record["runs"]] == [
         ("encode-f32", False), ("encode-f32", True)]
@@ -69,3 +81,12 @@ def test_bench_record_writes_one_file_that_bench_compare_reads(tmp_path):
     rows = [line.split() for line in out.splitlines()[1:]]
     assert {row[1] for row in rows} >= {"inst_per_s", "peak_rss_mb", "adapter.fwd_ms"}
     assert all(row[4] == "1.000" for row in rows)
+
+
+def test_bench_record_reads_no_commit_outside_a_repository(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPTS / "bench_record.py")
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+    assert bench_record.git(tmp_path, "rev-parse", "HEAD") is None
+    assert bench_record.git(tmp_path, "status", "--porcelain") is None
