@@ -25,6 +25,7 @@ import json
 import math
 import os
 import platform
+import resource
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields
@@ -95,6 +96,8 @@ class BenchReport:
     config: dict
     environment: dict
     output_dtype: str          # dtype of the timed step's output, as executed
+    minor_faults: int          # the process's minor page faults in the measured window
+    system_seconds: float      # the process's system CPU time in the measured window
 
 
 def _blas_library() -> dict:
@@ -209,6 +212,7 @@ def _measure(cfg: BenchConfig, mode: str, step) -> BenchReport:
         for _ in range(cfg.warmup_batches):
             step(counter)
         instances = 0
+        before = resource.getrusage(resource.RUSAGE_SELF)
         start = time.perf_counter()
         while True:
             output = step(counter)
@@ -216,6 +220,7 @@ def _measure(cfg: BenchConfig, mode: str, step) -> BenchReport:
             elapsed = time.perf_counter() - start
             if elapsed >= cfg.measure_seconds:
                 break
+        after = resource.getrusage(resource.RUSAGE_SELF)
     run = instances + cfg.warmup_batches * cfg.batch_size
     return BenchReport(
         instances_per_minute=instances * 60.0 / elapsed,
@@ -227,6 +232,8 @@ def _measure(cfg: BenchConfig, mode: str, step) -> BenchReport:
         config={**asdict(cfg), "mode": mode},
         environment=environment_fingerprint(cfg, blas_threads),
         output_dtype=output.dtype.name,
+        minor_faults=after.ru_minflt - before.ru_minflt,
+        system_seconds=after.ru_stime - before.ru_stime,
     )
 
 

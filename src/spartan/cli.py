@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +82,13 @@ def _output_path(value: str) -> str:
     return value
 
 
+def _sample_size(value: str) -> int:
+    """--few-shot's value, checked as flags are parsed: an integer >= 1."""
+    if not value.isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"N must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _check_labels(examples, num_labels: int, path) -> None:
     if not examples:
         raise DataError(f"no examples in {path}")
@@ -99,8 +106,6 @@ def cmd_train(args) -> int:
         if flag is not None:
             conf["train"][field] = flag
     seed, tcfg, backbone_cfg, kind, plugin_cfg, num_labels = decode_run_config(conf)
-    if args.few_shot is not None and args.steps is None:
-        tcfg = replace(tcfg, steps=tcfg.few_shot_steps)
 
     manifest = load_label_manifest(args.data)
     examples = load_jsonl(args.data, label_map=manifest)
@@ -218,7 +223,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--out", required=True, type=_output_path, help="checkpoint path")
     p_train.add_argument("--metrics", type=_output_path,
                          help="metrics CSV path (default: <out>.metrics.csv)")
-    p_train.add_argument("--few-shot", type=int, default=None, metavar="N",
+    p_train.add_argument("--few-shot", type=_sample_size, default=None, metavar="N",
                          help="train on a stratified sample of N instances")
     p_train.add_argument("--steps", type=int, default=None)
     p_train.add_argument("--lr", type=float, default=None)

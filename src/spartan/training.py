@@ -21,6 +21,7 @@ from .data import Example
 from .numerics import MacCounter, ParameterError, check_counts, make_rng
 
 EVAL_POSITIONS = 512  # per inference forward (one sequence at least): bounds its activations
+BETA1, BETA2, EPSILON = 0.9, 0.999, 1e-8  # Adam's moment decays and denominator offset
 
 
 class NumericalError(RuntimeError):
@@ -33,21 +34,13 @@ class TrainConfig:
     learning_rate: float = 1e-3
     batch_size: int = 16
     steps: int = 1000
-    few_shot_steps: int = 1000
     seed: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-    weight_decay: float = 0.0
 
     def __post_init__(self):
-        check_counts(vars(self), batch_size=1, steps=0, few_shot_steps=0, seed=0)
-        for name, high in (("learning_rate", math.inf), ("weight_decay", math.inf),
-                           ("epsilon", math.inf), ("beta1", 1.0), ("beta2", 1.0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not 0 <= value < high:
-                raise ParameterError(f"{name} must be a number in [0, {high}), got {value!r}")
+        check_counts(vars(self), batch_size=1, steps=0, seed=0)
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, numbers.Real) or not 0 <= lr < math.inf:
+            raise ParameterError(f"learning_rate must be a number in [0, inf), got {lr!r}")
 
 
 @dataclass
@@ -86,13 +79,12 @@ def adam_step(state: OptimizerState, model: Model, grads: dict[str, np.ndarray],
               cfg: TrainConfig) -> None:
     """Bias-corrected adaptive-moment update, in place, trainable tensors only.
 
-    Weight decay, when nonzero, is decoupled from the moment estimates. A
-    non-finite moment or parameter raises NumericalError (step is 0-based).
+    A non-finite moment or parameter raises NumericalError (step is 0-based).
     """
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, arr, trainable in iter_named_tensors(model):
         if not trainable:
             continue
@@ -102,20 +94,18 @@ def adam_step(state: OptimizerState, model: Model, grads: dict[str, np.ndarray],
         m = state.m[name]
         v = state.v[name]
         with np.errstate(all="ignore"):  # an overflow is reported by the check below
-            scratch = np.multiply(g, 1.0 - cfg.beta1)
-            m *= cfg.beta1
+            scratch = np.multiply(g, 1.0 - BETA1)
+            m *= BETA1
             m += scratch
             np.multiply(g, g, out=scratch)
-            scratch *= 1.0 - cfg.beta2
-            v *= cfg.beta2
+            scratch *= 1.0 - BETA2
+            v *= BETA2
             v += scratch
             np.divide(v, bc2, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += cfg.epsilon
+            scratch += EPSILON
             update = m / bc1
             update /= scratch
-            if cfg.weight_decay:
-                update += np.multiply(arr, cfg.weight_decay, out=scratch)
             update *= cfg.learning_rate
             arr -= update
         if not (np.isfinite(m).all() and np.isfinite(v).all() and np.isfinite(arr).all()):

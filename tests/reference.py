@@ -31,6 +31,7 @@ from spartan.backbone import (
 )
 from spartan.memory import SpartanConfig, SpartanGradients, SpartanLayerParams
 from spartan.numerics import layer_norm
+from spartan.training import BETA1, BETA2, EPSILON
 
 
 def softmax_stable(logits):
@@ -221,8 +222,8 @@ def adam_step(state, model, grads, cfg):
     """The package's adam_step without its shape and finiteness checks."""
     state.step += 1
     t = state.step
-    bc1 = 1.0 - cfg.beta1 ** t
-    bc2 = 1.0 - cfg.beta2 ** t
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
     for name, arr, trainable in iter_named_tensors(model):
         if not trainable:
             continue
@@ -230,13 +231,11 @@ def adam_step(state, model, grads, cfg):
         m = state.m[name]
         v = state.v[name]
         with np.errstate(all="ignore"):
-            m *= cfg.beta1
-            m += (1.0 - cfg.beta1) * g
-            v *= cfg.beta2
-            v += (1.0 - cfg.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + cfg.epsilon)
-            if cfg.weight_decay:
-                update = update + cfg.weight_decay * arr
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            update = (m / bc1) / (np.sqrt(v / bc2) + EPSILON)
             arr -= cfg.learning_rate * update
 
 

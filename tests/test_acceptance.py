@@ -224,9 +224,18 @@ def test_criterion_05_compute_sparsity_and_micro_throughput():
         blas_threads = {name: sorted({str(r.environment["blas_threads"]) for r in runs})
                         for name, runs in reports.items()}
         env = reports["spartan"][0].environment
+        # what the margin rests on: per call, the adapter arm's page faults
+        # and system time against none in the memory arm (README)
+        def per_call(runs, field):
+            return np.median([getattr(r, field) * shared["batch_size"] / r.instances
+                              for r in runs])
         print(f"\n    micro medians: spartan {medians['spartan']:.0f}, "
               f"adapter {medians['adapter']:.0f} instances/min "
-              f"({medians['spartan'] / medians['adapter']:.2f}x); output dtypes {dtypes}; "
+              f"({medians['spartan'] / medians['adapter']:.2f}x); per call: "
+              + ", ".join(f"{name} {per_call(runs, 'minor_faults'):.0f} minor faults, "
+                          f"{per_call(runs, 'system_seconds') * 1e3:.2f} ms system"
+                          for name, runs in reports.items())
+              + f"; output dtypes {dtypes}; "
               f"blas {env['blas']}; blas threads {blas_threads}; "
               f"blas threads env {env['blas_threads_env']}; cores {env['cores']}")
         # the comparison is a float32 one only if both arms ran in float32

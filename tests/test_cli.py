@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ from spartan.data import (DataError, Example, SyntheticTopicTask, generate_topic
                           write_jsonl)
 from spartan.memory import SpartanConfig
 from spartan.numerics import make_rng
-from spartan.training import NumericalError, TrainResult
+from spartan.training import NumericalError, TrainConfig, TrainResult
 
 # a numpy warning on any CLI path fails the test instead of being captured
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -189,14 +190,17 @@ class TestTrainCommand:
                      "--out", str(b), "--seed", "7"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_few_shot_samples_exactly_n(self, workdir):
+    def test_few_shot_samples_exactly_n_and_trains_train_steps(self, workdir):
         tmp, config, data = workdir
         out = tmp / "fs.json"
         code = main(["train", "--config", str(config), "--data", str(data),
-                     "--out", str(out), "--few-shot", "8", "--steps", "2"])
+                     "--out", str(out), "--few-shot", "8"])
         assert code == 0
         header, _ = read_checkpoint_file(out)
         assert header["config"]["num_train_examples"] == 8
+        assert header["config"]["train"]["steps"] == TINY_CONFIG["train"]["steps"]
+        with open(tmp / "fs.json.metrics.csv") as fh:
+            assert len(list(csv.DictReader(fh))) == TINY_CONFIG["train"]["steps"]
 
     def test_few_shot_two_hundred_instances(self, tmp_path):
         # the documented few-shot protocol size, stratified over the labels
@@ -920,17 +924,37 @@ class TestConfigValidation:
         tmp, _, data = workdir
         self._refused_by_both(capsys, tmp / name, tmp, data, "usage error", "config file not found")
 
-    def test_readme_schema_block_is_accepted_verbatim(self, tmp_path, capsys):
+    @staticmethod
+    def _readme_schema() -> str:
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = readme.split("## Config file schema", 1)[1].split("```json\n", 1)[1]
+        return block.split("```", 1)[0]
+
+    def test_readme_schema_block_is_accepted_verbatim(self, tmp_path, capsys):
         config = tmp_path / "readme.json"
-        config.write_text(block.split("```", 1)[0])
+        config.write_text(self._readme_schema())
         assert main(["params", "--config", str(config)]) == 0, capsys.readouterr().err
 
+    def test_readme_schema_block_lists_every_accepted_field(self):
+        # a field added to or removed from a decoded config must reach the README
+        schema = json.loads(self._readme_schema())
+
+        def names(cls):
+            return {f.name for f in fields(cls)}
+        assert set(schema) == set(cli.load_run_config(None))
+        assert set(schema["backbone"]) == names(BackboneConfig)
+        # plugin d may be given but follows the backbone's, so the block omits it
+        assert set(schema["plugin"]) == {"kind"} | names(SpartanConfig) - {"d"}
+        assert schema["plugin"]["kind"] == "spartan"
+        # train.seed is refused: the top-level seed is the run's one seed
+        assert set(schema["train"]) == names(TrainConfig) - {"seed"}
+
     def test_unknown_train_field_is_a_usage_error(self, workdir, capsys, no_work):
-        # train.seed too: the top-level seed is the run's one seed
+        # train.seed too: the top-level seed is the run's one seed; Adam's
+        # constants and a separate few-shot step count are no fields either
         tmp, _, data = workdir
-        for field, value in (("bogus", 1), ("seed", 5)):
+        for field, value in (("bogus", 1), ("seed", 5), ("few_shot_steps", 2), ("beta1", 0.9),
+                             ("beta2", 0.999), ("epsilon", 1e-8), ("weight_decay", 0.0)):
             path = self._config(tmp, train={field: value})
             self._refused_by_both(capsys, path, tmp, data, "usage error", field)
 
@@ -960,6 +984,15 @@ class TestConfigValidation:
         tmp, _, data = workdir
         path = self._config(tmp, **{section: {**TINY_CONFIG[section], field: value}})
         self._refused_by_both(capsys, path, tmp, data, "config error", field)
+
+    @pytest.mark.parametrize("n", ["0", "-3", "two", "1.5"])
+    def test_few_shot_below_one_is_refused_as_flags_are_parsed(self, workdir, capsys, no_work,
+                                                               n):
+        tmp, config, _ = workdir
+        assert main(["train", "--config", str(config), "--data", str(tmp / "absent.jsonl"),
+                     "--out", str(tmp / "x.json"), "--few-shot", n]) == 1
+        _assert_one_line_error(capsys, "usage error", "--few-shot", "integer >= 1", repr(n))
+        assert not (tmp / "x.json").exists()
 
     def test_negative_steps_flag_is_rejected(self, workdir, capsys, no_work):
         tmp, config, data = workdir

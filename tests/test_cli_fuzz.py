@@ -29,8 +29,7 @@ CONFIG = {
     "backbone": {"d": 8, "layers": 1, "heads": 2, "ffn_dim": 8,
                  "vocab_hash_buckets": 32, "max_seq_len": 8, "pooling": "first"},
     "plugin": {"kind": "spartan", "num_parents": 4, "children_per_parent": 2, "top_k": 2},
-    "train": {"learning_rate": 1e-3, "batch_size": 4, "steps": 2, "few_shot_steps": 2,
-              "beta1": 0.9, "beta2": 0.999, "epsilon": 1e-8, "weight_decay": 0.0},
+    "train": {"learning_rate": 1e-3, "batch_size": 4, "steps": 2},
 }
 
 SCALARS = (st.none() | st.booleans() | st.integers(min_value=-3, max_value=40)

@@ -131,6 +131,12 @@ class TestFewShot:
         with pytest.raises(ParameterError):
             few_shot_sample(self._balanced(per_label=2), 100, make_rng(0))
 
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_below_one(self, k):
+        # library callers get this check; the CLI refuses such a k as flags are parsed
+        with pytest.raises(ParameterError, match="k must be >= 1"):
+            few_shot_sample(self._balanced(per_label=2), k, make_rng(0))
+
     @given(st.integers(min_value=1, max_value=80), st.integers(min_value=0, max_value=100))
     @settings(max_examples=40, deadline=None)
     def test_stratified_counts_differ_by_at_most_one(self, k, seed):
