@@ -23,12 +23,10 @@ from .training import eval_batches
 
 
 @dataclass
-class SelectionRecord:
-    example_index: int
-    label: int
+class Selections:
     layer: int
-    argmax_parent: int
-    parent_probs: np.ndarray
+    labels: np.ndarray          # (E,) gold label of each example
+    probs: np.ndarray           # (E, N) parent probabilities at the first position
 
 
 @dataclass
@@ -51,9 +49,9 @@ def resolve_layer(model: Model, layer) -> int:
     return idx
 
 
-def collect_selections(model: Model, dataset: list[Example], layer="last") -> list[SelectionRecord]:
-    """One record per example: parent probabilities and argmax at the chosen
-    layer, read at the first position. Pure read; the model is not touched.
+def collect_selections(model: Model, dataset: list[Example], layer="last") -> Selections:
+    """Each example's parent probabilities at the chosen layer, read at the
+    first position, in dataset order. Pure read; the model is not touched.
     Forwards run in training.eval_batches' bounded chunks, so a probability
     may differ by a few ulps from a forward of the whole length group.
     `encode`'s routing capture refuses a model without the spartan plugin."""
@@ -62,20 +60,13 @@ def collect_selections(model: Model, dataset: list[Example], layer="last") -> li
     layer_idx = resolve_layer(model, layer)
 
     token_lists = [tokenize(ex.text, model.cfg) for ex in dataset]
-    records: list[SelectionRecord | None] = [None] * len(dataset)
+    order, rows = [], []
     for idxs, ids in eval_batches(token_lists):
         _, routing = encode(model, ids, capture_routing=True)
-        probs = routing[layer_idx]                         # (B, N)
-        arg = probs.argmax(axis=1)                         # ties -> lowest index
-        for row, i in enumerate(idxs):
-            records[i] = SelectionRecord(
-                example_index=int(i),
-                label=dataset[i].label,
-                layer=layer_idx,
-                argmax_parent=int(arg[row]),
-                parent_probs=probs[row].copy(),
-            )
-    return records
+        order.append(idxs)
+        rows.append(routing[layer_idx])                    # (B, N)
+    probs = np.concatenate(rows)[np.argsort(np.concatenate(order))]
+    return Selections(layer_idx, np.array([ex.label for ex in dataset]), probs)
 
 
 def nmi_from_contingency(table: np.ndarray) -> float:
@@ -101,37 +92,33 @@ def nmi_from_contingency(table: np.ndarray) -> float:
     return 2.0 * info / (h_i + h_j)
 
 
-def specialization_stats(records: list[SelectionRecord]) -> SpecializationStats:
-    """Per-parent label histogram and parent-label NMI over selection records."""
-    if not records:
-        raise ParameterError("records must be nonempty")
-    num_parents = records[0].parent_probs.shape[0]
-    num_labels = max(r.label for r in records) + 1
-    table = np.zeros((num_parents, num_labels), dtype=np.int64)
-    for r in records:
-        table[r.argmax_parent, r.label] += 1
-    purity = []
-    for row in table:
-        total = row.sum()
-        purity.append(float(row.max() / total) if total else None)
+def specialization_stats(sel: Selections) -> SpecializationStats:
+    """Per-parent label histogram and parent-label NMI; an example counts for
+    its most probable parent, the lowest index on a tie."""
+    if not len(sel.labels):
+        raise ParameterError("selections must be nonempty")
+    table = np.zeros((sel.probs.shape[1], sel.labels.max() + 1), dtype=np.int64)
+    np.add.at(table, (sel.probs.argmax(axis=1), sel.labels), 1)
+    totals = table.sum(axis=1)
     return SpecializationStats(
         histogram=table,
         nmi=nmi_from_contingency(table),
-        per_parent_purity=purity,
-        num_records=len(records),
+        per_parent_purity=[float(row.max() / total) if total else None
+                           for row, total in zip(table, totals)],
+        num_records=len(sel.labels),
     )
 
 
-def write_selection_csv(path, records: list[SelectionRecord]) -> None:
+def write_selection_csv(path, sel: Selections) -> None:
     """example_id, label, layer, argmax_parent, p_0..p_{N-1}."""
-    n = records[0].parent_probs.shape[0]
+    n = sel.probs.shape[1]
     fields = ["example_id", "label", "layer", "argmax_parent"] + [f"p_{i}" for i in range(n)]
+    rows = zip(sel.labels.tolist(), sel.probs.argmax(axis=1).tolist(), sel.probs.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(fields)
-        for r in records:
-            writer.writerow([r.example_index, r.label, r.layer, r.argmax_parent]
-                            + [repr(float(p)) for p in r.parent_probs])
+        for i, (label, parent, probs) in enumerate(rows):
+            writer.writerow([i, label, sel.layer, parent] + probs)  # floats as repr
 
 
 def write_summary_json(path, stats: SpecializationStats) -> None:

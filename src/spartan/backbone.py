@@ -167,12 +167,19 @@ def plugin_kind(kind: str) -> PluginKind:
 
 def plugin_config(kind: str, d: int, *given):
     """The config a `kind` plugin runs with at width d: the first of `given`
-    that has the kind's config type, else that type's defaults; None for a
-    kind without parameters. `decode_config` owns the rule that d matches."""
+    that has the kind's config type, or that type's defaults when every one
+    is None; None for a kind without parameters. Configs given with none of
+    the kind's type raise ParameterError rather than fall back to defaults.
+    `decode_config` owns the rule that d matches."""
     config = plugin_kind(kind).config
     if config is None:
         return None
-    return next((c for c in given if isinstance(c, config)), None) or config(d=d)
+    given = [c for c in given if c is not None]
+    match = next((c for c in given if isinstance(c, config)), None)
+    if given and match is None:
+        raise ParameterError(f"plugin kind {kind!r} needs a {config.__name__}, "
+                             f"got {', '.join(type(c).__name__ for c in given)}")
+    return match or config(d=d)
 
 
 def build_config(cls, given, section: str, **fixed):
@@ -291,7 +298,8 @@ def make_plugin(kind: str, cfg: BackboneConfig, rng: np.random.Generator,
 
     The kind takes whichever of spartan_cfg/adapter_cfg has its config type,
     so a caller holding one config of either type may pass it first; with
-    neither, the type's defaults at width cfg.d.
+    neither, the type's defaults at width cfg.d. A config of another kind's
+    type alone raises ParameterError (see plugin_config).
     """
     pcfg = plugin_config(kind, cfg.d, spartan_cfg, adapter_cfg)
     return _plugin_spec(kind, cfg.layers, pcfg, lambda schema: init_tensors(schema, rng))

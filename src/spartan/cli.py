@@ -184,12 +184,12 @@ def cmd_analyze(args) -> int:
     examples = load_jsonl(args.data, label_map=meta["label_manifest"] or None)
     _check_labels(examples, model.params.num_labels, args.data)
     with np.errstate(over="raise", invalid="raise"):  # as in cmd_eval
-        records = analysis_mod.collect_selections(model, examples, args.layer)
-    stats = analysis_mod.specialization_stats(records)
-    analysis_mod.write_selection_csv(str(args.out) + ".csv", records)
+        sel = analysis_mod.collect_selections(model, examples, args.layer)
+    stats = analysis_mod.specialization_stats(sel)
+    analysis_mod.write_selection_csv(str(args.out) + ".csv", sel)
     analysis_mod.write_summary_json(str(args.out) + ".json", stats)
     best = max(p for p in stats.per_parent_purity if p is not None)
-    print(f"{len(records)} records at layer {records[0].layer}; "
+    print(f"{stats.num_records} records at layer {sel.layer}; "
           f"nmi {stats.nmi:.4f}; best parent purity {best:.4f}")
     print(f"outputs: {args.out}.csv {args.out}.json")
     return EXIT_OK

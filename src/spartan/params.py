@@ -56,7 +56,8 @@ def build_report(cfg: BackboneConfig, num_labels: int | None, plugin_kind: str, 
     reported on its own line so the plugin count stays comparable across
     architectures. The byte figures are those of the checkpoint files. A
     num_labels of None is counted as 2 labels, and the report says so. A
-    plugin_cfg of None counts the kind's default config at width cfg.d.
+    plugin_cfg of None counts the kind's default config at width cfg.d; one
+    of another kind's type raises ParameterError.
     """
     if tasks < 1:
         raise ParameterError(f"tasks must be >= 1, got {tasks}")

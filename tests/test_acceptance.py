@@ -290,6 +290,23 @@ def test_criterion_08_specialization(specialization_run):
         print(f"\n    best purity {best_purity:.3f}, NMI {stats.nmi:.3f}")
 
 
+def test_specialization_is_learned_not_inherited(specialization_run):
+    # claim (e) against its nulls on criterion 08's run: the same model before
+    # training (seeds 1, 2, 100) and the trained routing with shuffled labels
+    model, train_set, _, _ = specialization_run
+    untrained, _, _, _ = _train_run(model.plugin.layers[0][0].cfg, steps=0)
+    trained = analysis_mod.collect_selections(model, train_set, layer="last")
+    init = analysis_mod.collect_selections(untrained, train_set, layer="last")
+    shuffled = analysis_mod.Selections(trained.layer, make_rng(0).permutation(trained.labels),
+                                       trained.probs)
+    nmi = {name: analysis_mod.specialization_stats(sel).nmi
+           for name, sel in (("trained", trained), ("init", init), ("shuffled", shuffled))}
+    line = ", ".join(f"{name} {value:.3f}" for name, value in nmi.items())
+    assert nmi["trained"] - nmi["init"] >= 0.3, line
+    assert nmi["shuffled"] < 0.05, line
+    print(f"\n    last-layer NMI: {line}")
+
+
 def test_criterion_09_parameter_accounting():
     with criterion(9, "enumeration 1,032,192/task; closed form 1,179,648; gap flagged; stacked = 2x"):
         start = time.perf_counter()
@@ -320,9 +337,8 @@ def test_criterion_10_determinism_and_round_trip(tmp_path):
             rng = make_rng(seed)
             params = init_backbone(cfg, 3, rng)
             kind = ("spartan", "adapter", "adapterx2", "none")[seed % 4]
-            plugin = make_plugin(kind, cfg, rng,
-                                 spartan_cfg=SpartanConfig(d=16, num_parents=4,
-                                                           children_per_parent=2, top_k=2))
+            scfg = SpartanConfig(d=16, num_parents=4, children_per_parent=2, top_k=2)
+            plugin = make_plugin(kind, cfg, rng, scfg if kind == "spartan" else None)
             model = Model(cfg, params, plugin)
             for _, arr, _ in iter_named_tensors(model):
                 arr[...] = rng.normal(size=arr.shape)

@@ -8,7 +8,7 @@ import pytest
 import reference
 from spartan import analysis as analysis_mod, training as training_mod
 from spartan.analysis import (
-    SelectionRecord,
+    Selections,
     collect_selections,
     nmi_from_contingency,
     specialization_stats,
@@ -16,7 +16,7 @@ from spartan.analysis import (
     write_summary_json,
 )
 from spartan.backbone import BackboneConfig, Model, init_backbone, iter_named_tensors, make_plugin
-from spartan.data import SyntheticTopicTask, generate_topic_dataset
+from spartan.data import Example, SyntheticTopicTask, generate_topic_dataset
 from spartan.memory import SpartanConfig
 from spartan.numerics import ParameterError, make_rng
 
@@ -32,16 +32,12 @@ def analysis_model(seed=0, num_parents=5, children=1, top_k=2):
     return Model(CFG, params, plugin)
 
 
-def synthetic_records(num, parents, labels, seed, coupled=False):
+def synthetic_selections(num, parents, labels, seed, coupled=False):
+    """One-hot selections: each example picks parent label % parents, or one at random."""
     rng = make_rng(seed)
-    out = []
-    for i in range(num):
-        label = int(rng.integers(labels))
-        parent = label % parents if coupled else int(rng.integers(parents))
-        probs = np.zeros(parents)
-        probs[parent] = 1.0
-        out.append(SelectionRecord(i, label, 0, parent, probs))
-    return out
+    label = rng.integers(labels, size=num)
+    parent = label % parents if coupled else rng.integers(parents, size=num)
+    return Selections(0, label, np.eye(parents)[parent])
 
 
 def small_dataset(n_per=10):
@@ -54,16 +50,16 @@ class TestCollectSelections:
         model = analysis_model(1)
         for (sp,) in model.plugin.layers:
             sp.parents[...] = 0.0
-        records = collect_selections(model, small_dataset(), layer="last")
-        for r in records:
-            assert np.allclose(r.parent_probs, 0.2, atol=1e-12)
-            assert r.argmax_parent == 0
-        assert len(records) == 40
+        sel = collect_selections(model, small_dataset(), layer="last")
+        assert sel.probs.shape == (40, 5)
+        assert np.allclose(sel.probs, 0.2, atol=1e-12)
+        assert (sel.probs.argmax(axis=1) == 0).all()
 
     def test_single_parent_always_selected(self):
         model = analysis_model(2, num_parents=1, top_k=1)
-        records = collect_selections(model, small_dataset(5))
-        assert all(r.argmax_parent == 0 for r in records)
+        sel = collect_selections(model, small_dataset(5))
+        assert sel.probs.shape == (20, 1)
+        assert (sel.probs.argmax(axis=1) == 0).all()
 
     def test_pure_read_leaves_model_unchanged(self):
         model = analysis_model(3)
@@ -79,7 +75,8 @@ class TestCollectSelections:
         data = small_dataset(3)
         last = collect_selections(model, data, layer="last")
         explicit = collect_selections(model, data, layer=CFG.layers - 1)
-        assert [r.argmax_parent for r in last] == [r.argmax_parent for r in explicit]
+        assert last.layer == explicit.layer == CFG.layers - 1
+        np.testing.assert_array_equal(last.probs, explicit.probs)
         with pytest.raises(ParameterError):
             collect_selections(model, data, layer=CFG.layers)
         with pytest.raises(ParameterError, match="'abc'"):
@@ -87,10 +84,14 @@ class TestCollectSelections:
 
     def test_records_indexed_by_example(self):
         model = analysis_model(5)
-        data = small_dataset(4)
-        records = collect_selections(model, data)
-        assert [r.example_index for r in records] == list(range(len(data)))
-        assert [r.label for r in records] == [ex.label for ex in data]
+        # odd examples are shorter, so eval_batches forwards them first
+        data = [Example(" ".join(ex.text.split()[:3]) if i % 2 else ex.text, ex.label)
+                for i, ex in enumerate(small_dataset(4))]
+        sel = collect_selections(model, data)
+        assert sel.labels.tolist() == [ex.label for ex in data]
+        for i, ex in enumerate(data):
+            np.testing.assert_allclose(sel.probs[i], collect_selections(model, [ex]).probs[0],
+                                       rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("max_positions", [1, 40])
     def test_forwards_stay_within_eval_positions(self, monkeypatch, max_positions):
@@ -110,9 +111,8 @@ class TestCollectSelections:
         assert sum(b for b, _ in shapes) == len(data)
         assert all(b * s <= max(s, max_positions) for b, s in shapes)
         # a row's result may move by a few ulps with the rows forwarded beside it
-        assert [r.argmax_parent for r in chunked] == [r.argmax_parent for r in whole]
-        for got, want in zip(chunked, whole):
-            np.testing.assert_allclose(got.parent_probs, want.parent_probs, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(chunked.probs.argmax(axis=1), whole.probs.argmax(axis=1))
+        np.testing.assert_allclose(chunked.probs, whole.probs, rtol=1e-12, atol=0)
 
     def test_requires_spartan_plugin(self):
         rng = make_rng(6)
@@ -124,14 +124,13 @@ class TestCollectSelections:
 
 class TestNmi:
     def test_perfect_correspondence_is_one(self):
-        records = synthetic_records(400, parents=4, labels=4, seed=0, coupled=True)
-        stats = specialization_stats(records)
+        stats = specialization_stats(synthetic_selections(400, parents=4, labels=4, seed=0,
+                                                          coupled=True))
         assert stats.nmi == pytest.approx(1.0, abs=1e-12)
 
     def test_independent_choice_is_near_zero(self):
         # permutation baseline: random parent choice carries no label signal
-        records = synthetic_records(2000, parents=5, labels=4, seed=1, coupled=False)
-        stats = specialization_stats(records)
+        stats = specialization_stats(synthetic_selections(2000, parents=5, labels=4, seed=1))
         assert stats.nmi < 0.05
 
     def test_matches_bruteforce_oracle(self):
@@ -158,16 +157,17 @@ class TestNmi:
 
 class TestStats:
     def test_histogram_rows_sum_to_selection_counts(self):
-        records = synthetic_records(300, parents=5, labels=4, seed=4)
-        stats = specialization_stats(records)
+        sel = synthetic_selections(300, parents=5, labels=4, seed=4)
+        stats = specialization_stats(sel)
+        want = np.zeros((5, 4), dtype=np.int64)
+        for probs, label in zip(sel.probs, sel.labels):
+            want[probs.argmax(), label] += 1
+        np.testing.assert_array_equal(stats.histogram, want)
         assert stats.histogram.sum() == 300
-        for i in range(5):
-            count = sum(1 for r in records if r.argmax_parent == i)
-            assert stats.histogram[i].sum() == count
 
     def test_purity_of_pure_parent(self):
-        records = synthetic_records(200, parents=4, labels=4, seed=5, coupled=True)
-        stats = specialization_stats(records)
+        stats = specialization_stats(synthetic_selections(200, parents=4, labels=4, seed=5,
+                                                          coupled=True))
         for p in stats.per_parent_purity:
             assert p is None or p == 1.0
 
@@ -176,9 +176,9 @@ class TestOutputs:
     def test_csv_has_one_row_per_example_and_prob_columns(self, tmp_path):
         model = analysis_model(7)
         data = small_dataset(3)
-        records = collect_selections(model, data)
+        sel = collect_selections(model, data)
         path = tmp_path / "sel.csv"
-        write_selection_csv(path, records)
+        write_selection_csv(path, sel)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["example_id", "label", "layer", "argmax_parent",
@@ -188,8 +188,8 @@ class TestOutputs:
         assert abs(sum(probs) - 1.0) <= 1e-12
 
     def test_summary_json(self, tmp_path):
-        records = synthetic_records(100, parents=3, labels=3, seed=8, coupled=True)
-        stats = specialization_stats(records)
+        stats = specialization_stats(synthetic_selections(100, parents=3, labels=3, seed=8,
+                                                          coupled=True))
         path = tmp_path / "summary.json"
         write_summary_json(path, stats)
         payload = json.loads(path.read_text())

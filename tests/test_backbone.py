@@ -32,7 +32,7 @@ def small_model(seed=0, kind="spartan", cfg=CFG, num_labels=3):
     rng = make_rng(seed)
     params = init_backbone(cfg, num_labels, rng)
     spartan_cfg = SpartanConfig(d=cfg.d, num_parents=4, children_per_parent=2, top_k=2)
-    plugin = make_plugin(kind, cfg, rng, spartan_cfg=spartan_cfg)
+    plugin = make_plugin(kind, cfg, rng, spartan_cfg if kind == "spartan" else None)
     return Model(cfg, params, plugin)
 
 
@@ -348,12 +348,13 @@ class TestTensorNames:
     @pytest.mark.parametrize("kind", ["none", "spartan", "adapter", "adapterx2"])
     def test_names_order_and_trainable_flags(self, kind):
         rng = make_rng(0)
+        spartan_cfg = self.TINY_SPARTAN if kind == "spartan" else None
         model = Model(self.TINY, init_backbone(self.TINY, 2, rng),
-                      make_plugin(kind, self.TINY, rng, spartan_cfg=self.TINY_SPARTAN))
+                      make_plugin(kind, self.TINY, rng, spartan_cfg))
         expect = ([(n, False) for n in _FROZEN_NAMES]
                   + [(n, True) for n in _HEAD_NAMES + _PLUGIN_NAMES[kind]])
         assert [(n, t) for n, _, t in iter_named_tensors(model)] == expect
-        shapes = reference.iter_tensor_shapes(self.TINY, 2, kind, spartan_cfg=self.TINY_SPARTAN)
+        shapes = reference.iter_tensor_shapes(self.TINY, 2, kind, spartan_cfg)
         assert [(n, t) for n, _, t in shapes] == expect
 
 

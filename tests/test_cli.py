@@ -55,7 +55,7 @@ def random_model(seed, kind="spartan"):
     cfg = BackboneConfig(d=16, layers=2, heads=2, ffn_dim=24,
                          vocab_hash_buckets=64, max_seq_len=8)
     params = init_backbone(cfg, 3, rng)
-    plugin = make_plugin(kind, cfg, rng, spartan_cfg=RANDOM_MODEL_MEMORY)
+    plugin = make_plugin(kind, cfg, rng, RANDOM_MODEL_MEMORY if kind == "spartan" else None)
     model = Model(cfg, params, plugin)
     for name, arr, _ in iter_named_tensors(model):
         arr[...] = rng.normal(size=arr.shape)
@@ -540,6 +540,33 @@ class TestAnalyzeCommand:
                      "--out", str(tmp / "five_analysis")]) == 0
         summary = json.loads((tmp / "five_analysis.json").read_text())
         assert np.asarray(summary["histogram"]).shape[0] == 5
+
+    def test_readme_specialization_recipe_runs_end_to_end(self, tmp_path, monkeypatch, capsys):
+        # the README's claim-(e) recipe: its config block, then its commands at 2 steps
+        root = Path(__file__).resolve().parents[1]
+        recipe = (root / "README.md").read_text().split("**Parent specialization recipe.**", 1)[1]
+        config, commands = re.findall(r"```(?:json)?\n(.*?)```", recipe, re.S)[:2]
+        monkeypatch.chdir(tmp_path)
+        name = re.search(r"--config (\S+)", commands).group(1)
+        Path(name).write_text(config)
+        seed, tcfg, _, kind, pcfg, _ = cli.decode_run_config(cli.load_run_config(name))
+        assert (kind, pcfg.num_parents, pcfg.children_per_parent, pcfg.top_k) == ("spartan", 5, 1, 2)
+        assert (seed, tcfg.steps) == (1, 600)
+
+        for line in commands.splitlines():
+            program, *args = line.split()
+            if program == "python":  # a script, in a fresh interpreter
+                subprocess.run([sys.executable, str(root / args[0]), *args[1:]], check=True,
+                               capture_output=True,
+                               env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+                continue
+            assert program == "spartan"
+            assert main(args + (["--steps", "2"] if args[0] == "train" else [])) == 0, \
+                capsys.readouterr().err
+        out = capsys.readouterr().out
+        assert "trained 2 steps on 1000 examples" in out and "accuracy " in out
+        summary = json.loads(Path("spec.json").read_text())
+        assert summary["num_records"] == 1000 and len(summary["histogram"]) == 5
 
     def test_layer_out_of_range_exits_1(self, workdir, capsys):
         tmp, config, data = workdir

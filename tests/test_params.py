@@ -92,6 +92,16 @@ class TestEnumeration:
             assert counts["frozen"] + counts["trainable"] == counts["total"]
             assert counts["plugin"] + counts["head"] == counts["trainable"]
 
+    @pytest.mark.parametrize("kind, other", [("adapter", DESK_SPARTAN),
+                                             ("adapterx2", DESK_SPARTAN),
+                                             ("spartan", DESK_ADAPTER)])
+    def test_config_of_another_kind_is_refused(self, kind, other):
+        # not counted as the kind's defaults, which no caller asked for
+        with pytest.raises(ParameterError, match=type(other).__name__):
+            build_report(DESK, 3, kind, plugin_cfg=other)
+        with pytest.raises(ParameterError, match=type(other).__name__):
+            make_plugin(kind, DESK, make_rng(0), other)
+
     def test_two_stacked_adapters_double_single_exactly(self):
         single = build_report(DESK, 3, "adapter", plugin_cfg=DESK_ADAPTER)
         double = build_report(DESK, 3, "adapterx2", plugin_cfg=DESK_ADAPTER)
